@@ -26,10 +26,11 @@ from .nets import (
     adam_to_bytes,
     backward,
     forward,
+    forward_activations,
     init_params,
     network_from_bytes,
     network_to_bytes,
-    read_archive,
+    read_agent_checkpoint,
     write_archive,
 )
 
@@ -189,7 +190,8 @@ def loss_and_gradient(
 ) -> tuple[float, np.ndarray]:
     """Mean squared Bellman error and its gradient in the online parameters."""
     n = len(batch)
-    q = forward(spec, params, batch.obs)
+    acts = forward_activations(spec, params, batch.obs)
+    q = acts[-1]
     rows = np.arange(n)
     residual = q[rows, batch.actions] - targets
     loss = float(residual @ residual) / n
@@ -197,7 +199,7 @@ def loss_and_gradient(
         raise TrainingDivergenceError("non-finite DQN loss")
     g_out = np.zeros_like(q)
     g_out[rows, batch.actions] = 2.0 * residual / n
-    return loss, backward(spec, params, batch.obs, g_out)
+    return loss, backward(spec, params, batch.obs, g_out, acts)
 
 
 class DqnLearner:
@@ -289,17 +291,11 @@ class DqnLearner:
         Replay contents are not checkpointed; a resumed learner starts with
         an empty buffer.
         """
-        sections = read_archive(path)
-        try:
-            meta = json.loads(sections["meta"].decode("utf-8"))
-        except KeyError:
-            raise CheckpointMismatchError("checkpoint has no meta section")
-        if meta.get("agent") != "dqn":
-            raise CheckpointMismatchError(
-                f"expected a dqn checkpoint, found {meta.get('agent')!r}"
-            )
-        spec, params = network_from_bytes(sections["q"])
-        target_spec, target_params = network_from_bytes(sections["q_target"])
+        counters, (q, q_target, adam) = read_agent_checkpoint(
+            path, "dqn", ("q", "q_target", "adam"), ("env_steps", "grad_steps")
+        )
+        spec, params = network_from_bytes(q)
+        target_spec, target_params = network_from_bytes(q_target)
         if target_spec != spec:
             raise CheckpointMismatchError("online and target network shapes differ")
         learner = cls(
@@ -314,8 +310,7 @@ class DqnLearner:
             )
         learner.params = params
         learner.target_params = target_params
-        adam = adam_from_bytes(sections["adam"])
-        learner.adam = adam
-        learner.env_steps = int(meta["env_steps"])
-        learner.grad_steps = int(meta["grad_steps"])
+        learner.adam = adam_from_bytes(adam)
+        learner.env_steps = counters["env_steps"]
+        learner.grad_steps = counters["grad_steps"]
         return learner

@@ -13,7 +13,10 @@ Hidden layers apply the configured activation; the output layer is linear.
 
 from __future__ import annotations
 
+import contextlib
+import json
 import math
+import os
 import struct
 import zlib
 from dataclasses import dataclass, replace
@@ -25,6 +28,7 @@ import numpy as np
 from .errors import (
     CheckpointChecksumError,
     CheckpointFormatError,
+    CheckpointMismatchError,
     CheckpointTruncatedError,
     CheckpointVersionError,
     TrainingDivergenceError,
@@ -91,18 +95,30 @@ class ParameterSet:
 
     def __post_init__(self) -> None:
         v = np.array(self.values, dtype=np.float64).ravel()
-        if not np.all(np.isfinite(v)):
-            raise ValueError("parameters must be finite")
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
+        object.__setattr__(self, "values", _freeze_finite(v))
+
+    @classmethod
+    def _adopt(cls, values: np.ndarray, version: int) -> "ParameterSet":
+        """Wrap a fresh float64 vector that no one else references, without copying it."""
+        params = object.__new__(cls)
+        object.__setattr__(params, "values", _freeze_finite(values))
+        object.__setattr__(params, "version", version)
+        return params
 
     def __len__(self) -> int:
         return int(self.values.size)
 
 
+def _freeze_finite(values: np.ndarray) -> np.ndarray:
+    if not np.all(np.isfinite(values)):
+        raise ValueError("parameters must be finite")
+    values.setflags(write=False)
+    return values
+
+
 @dataclass(frozen=True)
 class AdamState:
-    """Adam moment accumulators; functional updates via adam_step()."""
+    """Adam moment accumulators, advanced in place by adam_step()."""
 
     m: np.ndarray
     v: np.ndarray
@@ -135,34 +151,48 @@ def init_params(spec: NetworkSpec, seed) -> ParameterSet:
     return ParameterSet(np.concatenate(chunks))
 
 
-def _forward_array(spec: NetworkSpec, values: np.ndarray, x: np.ndarray) -> np.ndarray:
-    h = x
+def _activations(spec: NetworkSpec, values: np.ndarray, h: np.ndarray) -> list[np.ndarray]:
+    """The input batch h followed by the output of every layer, input to output."""
+    acts = [h]
     last_hidden = len(spec.layer_sizes) - 3
     for k, (w_start, b_start, end, n_out, n_in) in enumerate(_layout(spec)):
         w = values[w_start:b_start].reshape(n_out, n_in)
         b = values[b_start:end]
-        h = h @ w.T + b
+        z = acts[-1] @ w.T + b
         if k <= last_hidden:
-            h = np.maximum(h, 0.0) if spec.activation == "relu" else np.tanh(h)
-    return h
+            z = np.maximum(z, 0.0) if spec.activation == "relu" else np.tanh(z)
+        acts.append(z)
+    return acts
+
+
+def forward_activations(spec: NetworkSpec, params: ParameterSet, x) -> list[np.ndarray]:
+    """Every layer's output on a batch (B, n), the input first and the network output last.
+
+    Pass the list to ``backward`` to take a gradient without a second forward pass.
+    """
+    h = np.asarray(x, dtype=np.float64)
+    if h.ndim != 2 or h.shape[1] != spec.input_dim:
+        raise ValueError(f"expected input width {spec.input_dim}, got shape {h.shape}")
+    return _activations(spec, params.values, h)
 
 
 def forward(spec: NetworkSpec, params: ParameterSet, x) -> np.ndarray:
     """Evaluate the network on one input (n,) or a batch (B, n)."""
     x = np.asarray(x, dtype=np.float64)
     single = x.ndim == 1
-    h = x[None, :] if single else x
-    if h.ndim != 2 or h.shape[1] != spec.input_dim:
-        raise ValueError(f"expected input width {spec.input_dim}, got shape {x.shape}")
-    out = _forward_array(spec, params.values, h)
+    out = forward_activations(spec, params, x[None, :] if single else x)[-1]
     return out[0] if single else out
 
 
-def backward(spec: NetworkSpec, params: ParameterSet, x, output_gradient) -> np.ndarray:
+def backward(
+    spec: NetworkSpec, params: ParameterSet, x, output_gradient, activations=None
+) -> np.ndarray:
     """Flat parameter gradient of sum_i output_gradient_i . f(x_i).
 
     For a batch the per-sample contributions are summed; callers that want a
-    mean scale the output gradient by 1/B themselves.
+    mean scale the output gradient by 1/B themselves. ``activations``, when
+    given, must be ``forward_activations(spec, params, x)`` for this x and
+    params; backward then skips its own forward pass.
     """
     x = np.asarray(x, dtype=np.float64)
     g = np.asarray(output_gradient, dtype=np.float64)
@@ -178,17 +208,12 @@ def backward(spec: NetworkSpec, params: ParameterSet, x, output_gradient) -> np.
 
     values = params.values
     layout = _layout(spec)
-    last_hidden = len(spec.layer_sizes) - 3
-
-    # Forward pass keeping the post-activation output of every layer.
-    acts = [h]
-    for k, (w_start, b_start, end, n_out, n_in) in enumerate(layout):
-        w = values[w_start:b_start].reshape(n_out, n_in)
-        b = values[b_start:end]
-        z = acts[-1] @ w.T + b
-        if k <= last_hidden:
-            z = np.maximum(z, 0.0) if spec.activation == "relu" else np.tanh(z)
-        acts.append(z)
+    if activations is None:
+        acts = _activations(spec, values, h)
+    elif len(activations) != len(spec.layer_sizes) or activations[0].shape != h.shape:
+        raise ValueError("activations do not belong to this network and input")
+    else:
+        acts = activations
 
     grad = np.empty(spec.n_params, dtype=np.float64)
     for k in range(len(layout) - 1, -1, -1):
@@ -209,19 +234,43 @@ def backward(spec: NetworkSpec, params: ParameterSet, x, output_gradient) -> np.
 def adam_step(
     state: AdamState, params: ParameterSet, gradient
 ) -> tuple[ParameterSet, AdamState]:
-    """One bias-corrected Adam update; returns fresh params and state."""
+    """One bias-corrected Adam update; returns fresh params and the next state.
+
+    The moments are updated in place: the state passed in is consumed, since
+    the returned state shares its ``m`` and ``v`` arrays. ``params`` is left
+    untouched. A rejected gradient changes nothing.
+    """
     g = np.asarray(gradient, dtype=np.float64).ravel()
-    if g.shape != params.values.shape:
-        raise ValueError(f"gradient shape {g.shape} does not match params {params.values.shape}")
+    if not g.shape == params.values.shape == state.m.shape == state.v.shape:
+        raise ValueError(
+            f"gradient shape {g.shape} does not match params {params.values.shape} "
+            f"and moments {state.m.shape}"
+        )
     if not np.all(np.isfinite(g)):
         raise TrainingDivergenceError("non-finite entries in gradient")
     t = state.t + 1
-    m = state.beta1 * state.m + (1.0 - state.beta1) * g
-    v = state.beta2 * state.v + (1.0 - state.beta2) * g * g
-    m_hat = m / (1.0 - state.beta1**t)
-    v_hat = v / (1.0 - state.beta2**t)
-    new_values = params.values - state.learning_rate * m_hat / (np.sqrt(v_hat) + state.eps)
-    return ParameterSet(new_values, version=params.version), replace(state, m=m, v=v, t=t)
+    m, v = state.m, state.v
+    scratch = np.empty_like(g)
+    new_values = np.empty_like(g)
+    # Same operations in the same order as the textbook expressions
+    #   m = b1*m + (1-b1)*g;  v = b2*v + ((1-b2)*g)*g
+    #   new = params - (lr * m/(1-b1^t)) / (sqrt(v/(1-b2^t)) + eps)
+    # so results are bitwise equal to them.
+    m *= state.beta1
+    np.multiply(g, 1.0 - state.beta1, out=scratch)
+    m += scratch
+    v *= state.beta2
+    np.multiply(g, 1.0 - state.beta2, out=scratch)
+    scratch *= g
+    v += scratch
+    np.divide(m, 1.0 - state.beta1**t, out=scratch)
+    scratch *= state.learning_rate
+    np.divide(v, 1.0 - state.beta2**t, out=new_values)
+    np.sqrt(new_values, out=new_values)
+    new_values += state.eps
+    scratch /= new_values
+    np.subtract(params.values, scratch, out=new_values)
+    return ParameterSet._adopt(new_values, params.version), replace(state, t=t)
 
 
 Probe = Callable[[np.ndarray], tuple[float, np.ndarray]]
@@ -237,18 +286,19 @@ def gradient_check(
     coordinate-wise, and the maximum over all parameters is returned.
     """
     x = np.asarray(x, dtype=np.float64)
-    _, g_out = probe(forward(spec, params, x))
-    analytic = backward(spec, params, x, g_out)
+    x2 = x[None, :] if x.ndim == 1 else x
+    acts = forward_activations(spec, params, x2)
+    _, g_out = probe(acts[-1][0] if x.ndim == 1 else acts[-1])
+    analytic = backward(spec, params, x, g_out, acts)
 
     theta = params.values.copy()
-    x2 = x[None, :] if x.ndim == 1 else x
     numeric = np.empty_like(analytic)
     for i in range(theta.size):
         orig = theta[i]
         theta[i] = orig + h
-        f_plus = probe(_forward_array(spec, theta, x2)[0])[0]
+        f_plus = probe(_activations(spec, theta, x2)[-1][0])[0]
         theta[i] = orig - h
-        f_minus = probe(_forward_array(spec, theta, x2)[0])[0]
+        f_minus = probe(_activations(spec, theta, x2)[-1][0])[0]
         theta[i] = orig
         numeric[i] = (f_plus - f_minus) / (2.0 * h)
 
@@ -388,9 +438,24 @@ def network_from_bytes(data: bytes) -> tuple[NetworkSpec, ParameterSet]:
     return spec, ParameterSet(values, version=version)
 
 
+def _replace_file(path, data: bytes) -> None:
+    """Write data to a temporary file beside path, then rename it over path.
+
+    A failed write leaves the previous file intact and no temporary behind.
+    """
+    tmp = f"{os.fsdecode(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as f:
+            f.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
+
+
 def save_params(path, spec: NetworkSpec, params: ParameterSet) -> None:
-    with open(path, "wb") as f:
-        f.write(network_to_bytes(spec, params))
+    _replace_file(path, network_to_bytes(spec, params))
 
 
 def load_params(path) -> tuple[NetworkSpec, ParameterSet]:
@@ -410,8 +475,7 @@ def write_archive(path, sections: list[tuple[str, bytes]]) -> None:
         buf += struct.pack("<Q", len(payload))
         buf += payload
     buf += struct.pack("<I", zlib.crc32(bytes(buf)))
-    with open(path, "wb") as f:
-        f.write(bytes(buf))
+    _replace_file(path, bytes(buf))
 
 
 def read_archive(path) -> dict[str, bytes]:
@@ -426,14 +490,52 @@ def read_archive(path) -> dict[str, bytes]:
             f"checkpoint archive: version {version}, expected {PARAMS_FORMAT_VERSION}"
         )
     (count,) = r.unpack("<I")
-    sections: dict[str, bytes] = {}
+    raw_sections = []
     for _ in range(count):
         (name_len,) = r.unpack("<H")
-        name = r.take(name_len).decode("utf-8")
+        name = r.take(name_len)
         (payload_len,) = r.unpack("<Q")
-        sections[name] = r.take(payload_len)
+        raw_sections.append((name, r.take(payload_len)))
     _check_crc(data, r, "checkpoint archive")
-    return sections
+    try:
+        return {name.decode("utf-8"): payload for name, payload in raw_sections}
+    except UnicodeDecodeError:
+        raise CheckpointFormatError("checkpoint archive: section name is not UTF-8") from None
+
+
+def read_agent_checkpoint(
+    path, agent: str, section_names: tuple[str, ...], counter_names: tuple[str, ...]
+) -> tuple[dict[str, int], list[bytes]]:
+    """Read an agent's checkpoint archive: integer counters from its JSON
+    ``meta`` section, and the payloads of the named sections in order.
+
+    Raises CheckpointMismatchError when the meta section is missing or names
+    another agent, and CheckpointFormatError when the meta is not a UTF-8
+    JSON object with every counter, or a named section is missing.
+    """
+    sections = read_archive(path)
+    if "meta" not in sections:
+        raise CheckpointMismatchError("checkpoint has no meta section")
+    try:
+        meta = json.loads(sections["meta"].decode("utf-8"))
+    except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError
+        raise CheckpointFormatError(f"checkpoint meta is not UTF-8 JSON: {exc}") from None
+    if not isinstance(meta, dict):
+        raise CheckpointFormatError("checkpoint meta is not a JSON object")
+    if meta.get("agent") != agent:
+        raise CheckpointMismatchError(
+            f"expected a {agent} checkpoint, found {meta.get('agent')!r}"
+        )
+    missing = [name for name in section_names if name not in sections]
+    if missing:
+        raise CheckpointFormatError(f"checkpoint has no {', '.join(missing)} section")
+    try:
+        counters = {name: int(meta[name]) for name in counter_names}
+    except (KeyError, TypeError, ValueError):
+        raise CheckpointFormatError(
+            f"checkpoint meta needs integer {', '.join(counter_names)}"
+        ) from None
+    return counters, [sections[name] for name in section_names]
 
 
 def adam_to_bytes(state: AdamState) -> bytes:

@@ -34,11 +34,12 @@ from .nets import (
     adam_to_bytes,
     backward,
     forward,
+    forward_activations,
     init_params,
     log_softmax,
     network_from_bytes,
     network_to_bytes,
-    read_archive,
+    read_agent_checkpoint,
     softmax,
     write_archive,
 )
@@ -163,7 +164,8 @@ def ppo_objective(
     """
     n = obs.shape[0]
     rows = np.arange(n)
-    logits = forward(policy_spec, policy_params, obs)
+    acts = forward_activations(policy_spec, policy_params, obs)
+    logits = acts[-1]
     logp_all = log_softmax(logits)
     new_log_probs = logp_all[rows, actions]
     with np.errstate(over="ignore"):  # overflow is reported as divergence below
@@ -189,7 +191,7 @@ def ppo_objective(
     # d entropy / d logits = -p * (log p + H)
     g_logits += (entropy_coef / n) * (-probs * (logp_all + entropies[:, None]))
 
-    grad = backward(policy_spec, policy_params, obs, g_logits)
+    grad = backward(policy_spec, policy_params, obs, g_logits, acts)
     stats = {
         "clip_fraction": float(np.mean(clipped < unclipped)),
         "entropy": float(entropies.mean()),
@@ -205,13 +207,14 @@ def value_loss(
 ) -> tuple[float, np.ndarray]:
     """Mean squared error of V(s) against frozen targets, with its gradient."""
     n = obs.shape[0]
-    v = forward(value_spec, value_params, obs)[:, 0]
+    acts = forward_activations(value_spec, value_params, obs)
+    v = acts[-1][:, 0]
     residual = v - targets
     loss = float(residual @ residual) / n
     if not np.isfinite(loss):
         raise TrainingDivergenceError("non-finite value loss")
     g_out = (2.0 * residual / n)[:, None]
-    return loss, backward(value_spec, value_params, obs, g_out)
+    return loss, backward(value_spec, value_params, obs, g_out, acts)
 
 
 class RolloutCollector:
@@ -260,6 +263,9 @@ class RolloutCollector:
 
         if self._obs is None:
             self._reset()
+        # V(self._obs) when the previous step computed it as its next value;
+        # unknown after a reset and at the start, since update() changes the net.
+        value = None
 
         for t in range(length):
             obs = self._obs
@@ -273,7 +279,7 @@ class RolloutCollector:
             obs_arr[t] = obs
             actions[t] = action
             rewards[t] = outcome.reward.total
-            values[t] = forward(value_spec, value_params, obs)[0]
+            values[t] = forward(value_spec, value_params, obs)[0] if value is None else value
             next_values[t] = forward(value_spec, value_params, outcome.observation)[0]
             log_probs[t] = logp[action]
             terminated[t] = outcome.terminated
@@ -283,8 +289,10 @@ class RolloutCollector:
             if ended:
                 self.episode_index += 1
                 self._reset()
+                value = None
             else:
                 self._obs = outcome.observation
+                value = next_values[t]
 
         episode_end[-1] = True  # rollout cut: stop the recursion, bootstrap
         return RolloutBatch(
@@ -405,17 +413,14 @@ class PpoLearner:
 
     @classmethod
     def load(cls, path, config: PpoConfig | None = None, seed: int = 0) -> "PpoLearner":
-        sections = read_archive(path)
-        try:
-            meta = json.loads(sections["meta"].decode("utf-8"))
-        except KeyError:
-            raise CheckpointMismatchError("checkpoint has no meta section")
-        if meta.get("agent") != "ppo":
-            raise CheckpointMismatchError(
-                f"expected a ppo checkpoint, found {meta.get('agent')!r}"
-            )
-        policy_spec, policy_params = network_from_bytes(sections["policy"])
-        value_spec, value_params = network_from_bytes(sections["value"])
+        counters, (policy, value, adam_policy, adam_value) = read_agent_checkpoint(
+            path,
+            "ppo",
+            ("policy", "value", "adam_policy", "adam_value"),
+            ("rollouts_done", "env_steps"),
+        )
+        policy_spec, policy_params = network_from_bytes(policy)
+        value_spec, value_params = network_from_bytes(value)
         learner = cls(
             obs_dim=policy_spec.input_dim,
             n_actions=policy_spec.output_dim,
@@ -426,8 +431,8 @@ class PpoLearner:
             raise CheckpointMismatchError("checkpoint network shapes differ from config")
         learner.policy_params = policy_params
         learner.value_params = value_params
-        learner.policy_adam = adam_from_bytes(sections["adam_policy"])
-        learner.value_adam = adam_from_bytes(sections["adam_value"])
-        learner.rollouts_done = int(meta["rollouts_done"])
-        learner.env_steps = int(meta["env_steps"])
+        learner.policy_adam = adam_from_bytes(adam_policy)
+        learner.value_adam = adam_from_bytes(adam_value)
+        learner.rollouts_done = counters["rollouts_done"]
+        learner.env_steps = counters["env_steps"]
         return learner

@@ -15,7 +15,7 @@ from highwaylab.dqn import (
     select_action,
 )
 from highwaylab.errors import CheckpointMismatchError, TrainingDivergenceError
-from highwaylab.nets import NetworkSpec, ParameterSet, forward, init_params
+from highwaylab.nets import NetworkSpec, ParameterSet, backward, forward, init_params
 
 
 def make_batch(rng, spec, size=8):
@@ -168,6 +168,23 @@ class TestLossAndGradient:
             theta[i] = orig
             numeric = (lp - lm) / (2 * h)
             assert grad[i] == pytest.approx(numeric, rel=1e-4, abs=1e-8)
+
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    def test_equals_forward_then_backward(self, activation):
+        rng = np.random.default_rng(17)
+        spec = NetworkSpec((6, 12, 10, 4), activation=activation)
+        params = init_params(spec, 4)
+        batch = make_batch(rng, spec, size=64)
+        y = compute_targets(batch, spec, init_params(spec, 5), gamma=0.95)
+        # Reference: a separate forward pass, then backward recomputing its own.
+        n = len(batch)
+        q = forward(spec, params, batch.obs)
+        residual = q[np.arange(n), batch.actions] - y
+        g_out = np.zeros_like(q)
+        g_out[np.arange(n), batch.actions] = 2.0 * residual / n
+        loss, grad = loss_and_gradient(batch, spec, params, y)
+        assert loss == float(residual @ residual) / n
+        assert np.array_equal(grad, backward(spec, params, batch.obs, g_out))
 
 
 class TestReplayBuffer:

@@ -8,7 +8,8 @@ import pytest
 
 from highwaylab.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, main
 from highwaylab.config import parse_config
-from highwaylab.errors import CheckpointError
+from highwaylab.dqn import DqnConfig, DqnLearner
+from highwaylab.errors import CheckpointError, CheckpointFormatError
 from highwaylab.harness import (
     EVAL_CSV_COLUMNS,
     TRAIN_CSV_COLUMNS,
@@ -23,6 +24,8 @@ from highwaylab.harness import (
     run_eval,
     run_train,
 )
+from highwaylab.nets import read_archive, write_archive
+from highwaylab.ppo import PpoConfig, PpoLearner
 
 SMALL_RANDOM = """
 [experiment]
@@ -331,3 +334,72 @@ class TestCli:
             )
             == EXIT_IO
         )
+
+
+class TestCorruptCheckpoint:
+    """Archives with a valid CRC but bad contents fail with a typed error."""
+
+    AGENTS = {
+        "dqn": (DqnLearner, DqnConfig(hidden_sizes=(4,))),
+        "ppo": (PpoLearner, PpoConfig(rollout_length=4, minibatch_size=4, hidden_sizes=(4,))),
+    }
+
+    def saved(self, tmp_path, agent, edit):
+        learner_cls, cfg = self.AGENTS[agent]
+        path = tmp_path / f"{agent}.bin"
+        learner_cls(4, 3, cfg, seed=0).save(path)
+        sections = read_archive(path)
+        edit(sections)
+        write_archive(path, list(sections.items()))
+        return path
+
+    def load(self, path, agent):
+        learner_cls, cfg = self.AGENTS[agent]
+        return learner_cls.load(path, cfg)
+
+    @pytest.mark.parametrize(
+        "agent, section",
+        [
+            ("dqn", "q"),
+            ("dqn", "q_target"),
+            ("dqn", "adam"),
+            ("ppo", "policy"),
+            ("ppo", "value"),
+            ("ppo", "adam_policy"),
+            ("ppo", "adam_value"),
+        ],
+    )
+    def test_missing_section(self, tmp_path, agent, section):
+        path = self.saved(tmp_path, agent, lambda s: s.pop(section))
+        with pytest.raises(CheckpointFormatError, match=section):
+            self.load(path, agent)
+
+    @pytest.mark.parametrize("agent", ["dqn", "ppo"])
+    def test_meta_not_json(self, tmp_path, agent):
+        path = self.saved(tmp_path, agent, lambda s: s.update(meta=b'{"agent": '))
+        with pytest.raises(CheckpointFormatError):
+            self.load(path, agent)
+
+    @pytest.mark.parametrize("agent", ["dqn", "ppo"])
+    def test_meta_not_utf8(self, tmp_path, agent):
+        path = self.saved(tmp_path, agent, lambda s: s.update(meta=b"\xff\xfe{}"))
+        with pytest.raises(CheckpointFormatError):
+            self.load(path, agent)
+
+    @pytest.mark.parametrize("agent", ["dqn", "ppo"])
+    def test_meta_without_counter(self, tmp_path, agent):
+        def drop_counter(sections):
+            meta = json.loads(sections["meta"])
+            del meta["env_steps"]
+            sections["meta"] = json.dumps(meta).encode("utf-8")
+
+        path = self.saved(tmp_path, agent, drop_counter)
+        with pytest.raises(CheckpointFormatError, match="env_steps"):
+            self.load(path, agent)
+
+    def test_cli_exits_with_io_code(self, tmp_path):
+        config_path = tmp_path / "cfg.ini"
+        config_path.write_text(SMALL_DQN)
+        path = self.saved(tmp_path, "dqn", lambda s: s.update(meta=b"not json"))
+        args = ["eval", "--config", str(config_path), "--checkpoint", str(path)]
+        assert main(args + ["--out", str(tmp_path / "ev")]) == EXIT_IO

@@ -1,6 +1,8 @@
 """Network, optimizer, and checkpoint tests against independent oracles."""
 
 import math
+import os
+import zlib
 
 import numpy as np
 import pytest
@@ -22,6 +24,7 @@ from highwaylab.nets import (
     backward,
     categorical_entropy,
     forward,
+    forward_activations,
     gradient_check,
     init_params,
     load_params,
@@ -195,6 +198,23 @@ class TestBackward:
             summed += backward(spec, params, xs[i], gs[i])
         np.testing.assert_allclose(batch_grad, summed, rtol=1e-10, atol=1e-12)
 
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    def test_given_activations_equal_recomputed(self, activation):
+        spec = NetworkSpec((5, 8, 6, 3), activation=activation)
+        params = init_params(spec, 10)
+        rng = np.random.default_rng(6)
+        xs = rng.normal(size=(64, 5))
+        gs = rng.normal(size=(64, 3))
+        acts = forward_activations(spec, params, xs)
+        assert np.array_equal(acts[-1], forward(spec, params, xs))
+        assert np.array_equal(
+            backward(spec, params, xs, gs, acts), backward(spec, params, xs, gs)
+        )
+        with pytest.raises(ValueError):
+            backward(spec, params, xs, gs, acts[:-1])
+        with pytest.raises(ValueError):
+            backward(spec, params, xs[:3], gs[:3], acts)
+
 
 class TestGradientCheck:
     def test_linear_network_linear_probe_is_exact(self):
@@ -255,6 +275,54 @@ class TestAdam:
             params, state = adam_step(state, params, 2.0 * diff)
         tail = losses[10:]
         assert all(a > b for a, b in zip(tail, tail[1:]))
+
+    @staticmethod
+    def functional_adam_step(state, values, g):
+        """The textbook expressions, allocating fresh arrays: the reference."""
+        t = state.t + 1
+        m = state.beta1 * state.m + (1.0 - state.beta1) * g
+        v = state.beta2 * state.v + (1.0 - state.beta2) * g * g
+        m_hat = m / (1.0 - state.beta1**t)
+        v_hat = v / (1.0 - state.beta2**t)
+        new_values = values - state.learning_rate * m_hat / (np.sqrt(v_hat) + state.eps)
+        return new_values, AdamState(m, v, t, state.learning_rate)
+
+    def test_in_place_update_equals_functional_formula(self):
+        spec = NetworkSpec((16, 15))
+        n = spec.n_params
+        rng = np.random.default_rng(21)
+        params = init_params(spec, 3)
+        state = AdamState.create(n, 0.003)
+        ref_values, ref_state = params.values.copy(), AdamState.create(n, 0.003)
+        for _ in range(300):
+            g = rng.normal(size=n) * 10.0 ** rng.uniform(-6.0, 1.0, size=n)
+            ref_values, ref_state = self.functional_adam_step(ref_state, ref_values, g)
+            params, state = adam_step(state, params, g)
+            assert np.array_equal(params.values, ref_values)
+            assert np.array_equal(state.m, ref_state.m)
+            assert np.array_equal(state.v, ref_state.v)
+            assert state.t == ref_state.t
+        assert not params.values.flags.writeable
+
+    def test_rejected_gradient_leaves_state_untouched(self):
+        rng = np.random.default_rng(5)
+        params = ParameterSet(rng.normal(size=6))
+        state = AdamState.create(6, 0.01)
+        for _ in range(3):
+            params, state = adam_step(state, params, rng.normal(size=6))
+        m, v, values = state.m.copy(), state.v.copy(), params.values.copy()
+        bad_gradients = [
+            (np.array([1.0, np.nan, 0.0, 0.0, 0.0, 0.0]), TrainingDivergenceError),
+            (np.array([1.0, 0.0, np.inf, 0.0, 0.0, 0.0]), TrainingDivergenceError),
+            (np.zeros(5), ValueError),
+        ]
+        for bad, error in bad_gradients:
+            with pytest.raises(error):
+                adam_step(state, params, bad)
+            assert np.array_equal(state.m, m)
+            assert np.array_equal(state.v, v)
+            assert state.t == 3
+            assert np.array_equal(params.values, values)
 
 
 class TestSoftmax:
@@ -333,6 +401,35 @@ class TestCheckpoint:
         sections = read_archive(path)
         assert sections["meta"] == b'{"agent": "x"}'
         assert sections["net"] == blob
+
+    def test_non_utf8_section_name_is_format_error(self, tmp_path):
+        path = tmp_path / "arch.bin"
+        write_archive(path, [("ab", b"payload")])
+        data = bytearray(path.read_bytes())
+        at = data.index(b"ab")
+        data[at : at + 2] = b"\xff\xfe"
+        data[-4:] = zlib.crc32(bytes(data[:-4])).to_bytes(4, "little")
+        path.write_bytes(bytes(data))
+        with pytest.raises(CheckpointFormatError):
+            read_archive(path)
+
+    @pytest.mark.parametrize("writer", ["save_params", "write_archive"])
+    def test_failed_replace_keeps_previous_file(self, tmp_path, monkeypatch, writer):
+        path = tmp_path / "ckpt.bin"
+        path.write_bytes(b"previous checkpoint")
+        spec = NetworkSpec((3, 2))
+
+        def fail_replace(src, dst):
+            raise OSError("simulated failure")
+
+        monkeypatch.setattr(os, "replace", fail_replace)
+        with pytest.raises(OSError):
+            if writer == "save_params":
+                save_params(path, spec, init_params(spec, 0))
+            else:
+                write_archive(path, [("meta", b"{}")])
+        assert path.read_bytes() == b"previous checkpoint"
+        assert [p.name for p in tmp_path.iterdir()] == ["ckpt.bin"]
 
     def test_adam_state_round_trip(self):
         state = AdamState(

@@ -6,7 +6,14 @@ import pytest
 
 from highwaylab.env import HighwayEnv, RoadConfig
 from highwaylab.errors import TrainingDivergenceError
-from highwaylab.nets import NetworkSpec, ParameterSet, forward, init_params, log_softmax
+from highwaylab.nets import (
+    NetworkSpec,
+    ParameterSet,
+    backward,
+    forward,
+    init_params,
+    log_softmax,
+)
 from highwaylab.ppo import (
     PpoConfig,
     PpoLearner,
@@ -214,6 +221,33 @@ class TestPpoObjective:
                 spec, params, obs, np.array([0]), np.array([-2000.0]), np.ones(1), 0.2, 0.0
             )
 
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    def test_equals_forward_then_backward(self, activation):
+        rng = np.random.default_rng(13)
+        spec = NetworkSpec((5, 9, 7, 4), activation=activation)
+        params = init_params(spec, 6)
+        obs, actions, old, advantages = objective_inputs(rng, spec, n=256)
+        objective, grad, stats = ppo_objective(
+            spec, params, obs, actions, old, advantages, 0.2, 0.01
+        )
+        # Reference: the objective's gradient in the logits, computed from a
+        # separate forward pass, then a backward pass recomputing its own.
+        n = len(obs)
+        rows = np.arange(n)
+        logp_all = log_softmax(forward(spec, params, obs))
+        ratios = np.exp(logp_all[rows, actions] - old)
+        unclipped = ratios * advantages
+        clipped = np.clip(ratios, 1.0 - 0.2, 1.0 + 0.2) * advantages
+        probs = np.exp(logp_all)
+        entropies = -(probs * logp_all).sum(axis=1)
+        coef = np.where(unclipped <= clipped, unclipped, 0.0) / n
+        g_logits = coef[:, None] * (-probs)
+        g_logits[rows, actions] += coef
+        g_logits += (0.01 / n) * (-probs * (logp_all + entropies[:, None]))
+        assert objective == float(np.minimum(unclipped, clipped).mean() + 0.01 * entropies.mean())
+        assert stats["clip_fraction"] == float(np.mean(clipped < unclipped))
+        assert np.array_equal(grad, backward(spec, params, obs, g_logits))
+
 
 class TestValueLoss:
     def test_zero_at_fit(self):
@@ -249,6 +283,19 @@ class TestValueLoss:
             fm = value_loss(spec, ParameterSet(theta), obs, targets)[0]
             theta[i] = orig
             assert grad[i] == pytest.approx((fp - fm) / (2 * h), rel=1e-5, abs=1e-9)
+
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    def test_equals_forward_then_backward(self, activation):
+        rng = np.random.default_rng(8)
+        spec = NetworkSpec((5, 9, 7, 1), activation=activation)
+        params = init_params(spec, 2)
+        obs = rng.normal(size=(256, 5))
+        targets = rng.normal(size=256)
+        loss, grad = value_loss(spec, params, obs, targets)
+        residual = forward(spec, params, obs)[:, 0] - targets
+        g_out = (2.0 * residual / len(obs))[:, None]
+        assert loss == float(residual @ residual) / len(obs)
+        assert np.array_equal(grad, backward(spec, params, obs, g_out))
 
 
 def small_ppo_config(**overrides):
@@ -323,6 +370,44 @@ class TestUpdate:
             PpoConfig(gae_lambda=1.5)
 
 
+class ThreeForwardCollector(RolloutCollector):
+    """Reference collector: evaluates V(s_t) and V(s_{t+1}) afresh every step."""
+
+    def collect(self, policy_spec, policy_params, value_spec, value_params, length, rng):
+        fields = {
+            "obs": np.zeros((length, policy_spec.input_dim)),
+            "actions": np.zeros(length, dtype=np.int64),
+            "rewards": np.zeros(length),
+            "values": np.zeros(length),
+            "next_values": np.zeros(length),
+            "log_probs": np.zeros(length),
+            "terminated": np.zeros(length, dtype=bool),
+            "episode_end": np.zeros(length, dtype=bool),
+        }
+        if self._obs is None:
+            self._reset()
+        for t in range(length):
+            obs = self._obs
+            logp = log_softmax(forward(policy_spec, policy_params, obs))
+            action = int(rng.choice(logp.size, p=np.exp(logp)))
+            outcome = self.env.step(action)
+            fields["obs"][t] = obs
+            fields["actions"][t] = action
+            fields["rewards"][t] = outcome.reward.total
+            fields["values"][t] = forward(value_spec, value_params, obs)[0]
+            fields["next_values"][t] = forward(value_spec, value_params, outcome.observation)[0]
+            fields["log_probs"][t] = logp[action]
+            fields["terminated"][t] = outcome.terminated
+            fields["episode_end"][t] = outcome.terminated or outcome.truncated
+            if fields["episode_end"][t]:
+                self.episode_index += 1
+                self._reset()
+            else:
+                self._obs = outcome.observation
+        fields["episode_end"][-1] = True
+        return RolloutBatch(**fields)
+
+
 class TestRolloutCollection:
     def collect_once(self):
         env = HighwayEnv(road=RoadConfig(scenario="merge"), horizon=10)
@@ -366,3 +451,38 @@ class TestRolloutCollection:
         # horizon 10 over 64 steps forces several truncations inside
         _, batch = self.collect_once()
         assert batch.episode_end[:-1].any()
+
+    def test_reused_values_equal_three_forward_reference(self):
+        # horizon 10 over 2 x 48 steps: resets inside both rollouts, and the
+        # second rollout starts mid-episode after update() changed the nets.
+        learner = PpoLearner(25, 5, small_ppo_config(), seed=9)
+        collectors = [
+            cls(HighwayEnv(road=RoadConfig(scenario="merge"), horizon=10), lambda i: 1000 + i)
+            for cls in (RolloutCollector, ThreeForwardCollector)
+        ]
+        rngs = [np.random.default_rng(55), np.random.default_rng(55)]
+        for _ in range(2):
+            batch, reference = (
+                c.collect(
+                    learner.policy_spec,
+                    learner.policy_params,
+                    learner.value_spec,
+                    learner.value_params,
+                    48,
+                    rng,
+                )
+                for c, rng in zip(collectors, rngs)
+            )
+            assert batch.episode_end[:-1].any()
+            for name in (
+                "obs",
+                "actions",
+                "rewards",
+                "values",
+                "next_values",
+                "log_probs",
+                "terminated",
+                "episode_end",
+            ):
+                assert np.array_equal(getattr(batch, name), getattr(reference, name)), name
+            learner.update(learner.prepare(batch))
