@@ -21,7 +21,7 @@ from .nets import (
     AdamState,
     NetworkSpec,
     ParameterSet,
-    adam_from_bytes,
+    adam_for_network,
     adam_step,
     adam_to_bytes,
     backward,
@@ -310,7 +310,7 @@ class DqnLearner:
             )
         learner.params = params
         learner.target_params = target_params
-        learner.adam = adam_from_bytes(adam)
+        learner.adam = adam_for_network(adam, spec, "adam")
         learner.env_steps = counters["env_steps"]
         learner.grad_steps = counters["grad_steps"]
         return learner

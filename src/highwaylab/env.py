@@ -28,12 +28,12 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .actions import EgoAction
-from .errors import EnvStateError, EpisodeFinishedError
+from .errors import ConfigError, EnvStateError, EpisodeFinishedError
 from .reward import (
     EgoPeriodView,
     RewardBreakdown,
@@ -157,8 +157,26 @@ def _clamp(value: float, low: float, high: float) -> float:
     return low if value < low else high if value > high else value
 
 
+# The two acceleration laws below run once per vehicle and sub-step, so they
+# spell out _clamp(accel, -A_MAX, A_MAX) instead of calling it.
+
+
 def _speed_tracking_accel(v: float, v_target: float) -> float:
-    return _clamp(K_P * (v_target - v), -A_MAX, A_MAX)
+    accel = K_P * (v_target - v)
+    return -A_MAX if accel < -A_MAX else A_MAX if accel > A_MAX else accel
+
+
+def _ghr_law(v: float, v_leader: float, gap: float, c: float, m: float, l: float) -> float:
+    """GHR acceleration c * v^m * (v_leader - v) / gap^l, clamped; a full
+    brake when the bumper gap is not positive."""
+    if gap <= 0.0:
+        return -A_MAX
+    accel = c * v**m * (v_leader - v) / gap**l
+    return -A_MAX if accel < -A_MAX else A_MAX if accel > A_MAX else accel
+
+
+def _bumper_gap(follower: VehicleState, leader: VehicleState) -> float:
+    return leader.x - follower.x - 0.5 * (leader.length + follower.length)
 
 
 def ghr_acceleration(
@@ -172,11 +190,97 @@ def ghr_acceleration(
     """
     if leader is None:
         return _speed_tracking_accel(follower.v, follower.target_speed)
-    gap = leader.x - follower.x - 0.5 * (leader.length + follower.length)
-    if gap <= 0.0:
-        return -A_MAX
-    accel = p.c * follower.v**p.m * (leader.v - follower.v) / gap**p.l
-    return _clamp(accel, -A_MAX, A_MAX)
+    return _ghr_law(follower.v, leader.v, _bumper_gap(follower, leader), p.c, p.m, p.l)
+
+
+def _x_order(xs: Sequence[float]) -> list[int]:
+    """Vehicle indices sorted by x; the sort is stable, so ties keep index order."""
+    return sorted(range(len(xs)), key=xs.__getitem__)
+
+
+def _leaders(
+    order: Sequence[int], xs: Sequence[float], ys: Sequence[float], half: float
+) -> list[int]:
+    """Index of each vehicle's leader, -1 where it has none.
+
+    The leader is the vehicle with the smallest dx = x_leader - x > 0 among
+    those less than half a lane away laterally, the lowest index on equal
+    dx. Vehicles are grouped by exact y (traffic sits on lane centres), each
+    group in x order from `_x_order`; for every pair of groups within half a
+    lane of each other one merge-like pass finds each vehicle's first
+    candidate strictly ahead. Later candidates at the same dx (equal x, or
+    an x whose difference rounds alike) follow it directly.
+    """
+    leader = [-1] * len(order)
+    lanes: dict[float, list[int]] = {}
+    for i in order:
+        lanes.setdefault(ys[i], []).append(i)
+    for y, members in lanes.items():
+        for other_y, ahead in lanes.items():
+            dy = other_y - y
+            if dy >= half or dy <= -half:  # abs(dy) >= half
+                continue
+            k = 0
+            m = len(ahead)
+            for i in members:
+                xi = xs[i]
+                while k < m and xs[ahead[k]] - xi <= 0.0:
+                    k += 1
+                if k == m:
+                    break
+                j = ahead[k]
+                dx = xs[j] - xi
+                k2 = k + 1
+                while k2 < m and xs[ahead[k2]] - xi == dx:
+                    if ahead[k2] < j:
+                        j = ahead[k2]
+                    k2 += 1
+                best = leader[i]
+                if best >= 0:
+                    best_dx = xs[best] - xi
+                    if dx > best_dx or (dx == best_dx and j > best):
+                        continue
+                leader[i] = j
+    return leader
+
+
+def _overlapping(
+    order: Sequence[int],
+    xs: Sequence[float],
+    ys: Sequence[float],
+    lengths: Sequence[float],
+    widths: Sequence[float],
+) -> list[bool]:
+    """Sort-and-sweep box overlap along x; boxes that merely touch collide.
+
+    `order` comes from `_x_order`. A pair more than the longest vehicle
+    apart in x cannot overlap, so each vehicle's scan stops there.
+    """
+    n = len(order)
+    hit = [False] * n
+    if n == 0:
+        return hit
+    window = max(lengths)
+    sorted_xs = [xs[i] for i in order]
+    for pos in range(n - 1):
+        xi = sorted_xs[pos]
+        if sorted_xs[pos + 1] - xi > window:
+            continue
+        i = order[pos]
+        yi = ys[i]
+        li = lengths[i]
+        wi = widths[i]
+        for k in range(pos + 1, n):
+            xj = sorted_xs[k]
+            if xj - xi > window:
+                break
+            j = order[k]
+            if abs(xi - xj) <= 0.5 * (li + lengths[j]) and abs(yi - ys[j]) <= 0.5 * (
+                wi + widths[j]
+            ):
+                hit[i] = True
+                hit[j] = True
+    return hit
 
 
 def collision_check(vehicles: Sequence[VehicleState]) -> np.ndarray:
@@ -184,19 +288,18 @@ def collision_check(vehicles: Sequence[VehicleState]) -> np.ndarray:
 
     Returns one boolean per vehicle. Symmetric by construction; the caller
     is responsible for folding the result into sticky `crashed` flags.
+    Sort-and-sweep along x: O(n log n) plus the pairs within one vehicle
+    length of each other.
     """
-    n = len(vehicles)
-    hit = np.zeros(n, dtype=bool)
-    for i in range(n):
-        vi = vehicles[i]
-        for j in range(i + 1, n):
-            vj = vehicles[j]
-            if abs(vi.x - vj.x) <= 0.5 * (vi.length + vj.length) and abs(
-                vi.y - vj.y
-            ) <= 0.5 * (vi.width + vj.width):
-                hit[i] = True
-                hit[j] = True
-    return hit
+    xs = [v.x for v in vehicles]
+    hit = _overlapping(
+        _x_order(xs),
+        xs,
+        [v.y for v in vehicles],
+        [v.length for v in vehicles],
+        [v.width for v in vehicles],
+    )
+    return np.array(hit, dtype=bool)
 
 
 def _lateral_velocity(vehicle: VehicleState, lane_width: float) -> float:
@@ -240,29 +343,6 @@ def encode_observation(
         )
     np.clip(obs, -1.0, 1.0, out=obs)
     return obs.reshape(-1)
-
-
-def _leader_of(
-    subject: VehicleState, others: Iterable[VehicleState], lane_width: float
-) -> VehicleState | None:
-    """Nearest vehicle strictly ahead and within half a lane laterally."""
-    best = None
-    best_dx = math.inf
-    half = 0.5 * lane_width
-    for other in others:
-        if other is subject:
-            continue
-        dx = other.x - subject.x
-        if dx <= 0.0 or abs(other.y - subject.y) >= half:
-            continue
-        if dx < best_dx:
-            best = other
-            best_dx = dx
-    return best
-
-
-def _bumper_gap(follower: VehicleState, leader: VehicleState) -> float:
-    return leader.x - follower.x - 0.5 * (leader.length + follower.length)
 
 
 class HighwayEnv:
@@ -332,10 +412,13 @@ class HighwayEnv:
 
     def ego_leader_gap(self) -> float | None:
         """Bumper gap to the ego's current leader, None when unconstrained."""
-        leader = _leader_of(self.ego, self._traffic, self.road.lane_width)
-        if leader is None:
+        vehicles = self.vehicles
+        xs = [v.x for v in vehicles]
+        ys = [v.y for v in vehicles]
+        leader = _leaders(_x_order(xs), xs, ys, 0.5 * self.road.lane_width)[0]
+        if leader < 0:
             return None
-        gap = _bumper_gap(self.ego, leader)
+        gap = _bumper_gap(vehicles[0], vehicles[leader])
         return gap if gap > 0.0 else None
 
     # -- episode control ----------------------------------------------------
@@ -379,7 +462,13 @@ class HighwayEnv:
                 if self._spawn_fits(x, y):
                     break
             else:
-                raise RuntimeError("could not place traffic without overlap")
+                raise ConfigError(
+                    f"could not place n_traffic = {self.n_traffic} vehicles without "
+                    f"overlap: traffic spawns in {len(spawn_lanes)} of "
+                    f"{self.road.lane_count} lanes, x in "
+                    f"[{TRAFFIC_SPAWN_X_LOW:g}, {x_high:g}] m, centres at least "
+                    f"{MIN_SPAWN_GAP + VEHICLE_LENGTH:g} m apart in a lane"
+                )
             v = float(rng.uniform(TRAFFIC_SPEED_LOW, TRAFFIC_SPEED_HIGH))
             self._traffic.append(
                 VehicleState(x=x, y=y, v=v, lane_target=lane, target_speed=v)
@@ -452,10 +541,7 @@ class HighwayEnv:
             if ego.lane_target < self.road.lane_count - 1:
                 ego.lane_target += 1
 
-        abs_accel_sum = 0.0
-        for _ in range(SUBSTEPS):
-            self._substep()
-            abs_accel_sum += abs(ego.a)
+        abs_accel_sum = self._run_period()
 
         self._steps += 1
         terminated = ego.crashed or self._off_road
@@ -490,61 +576,96 @@ class HighwayEnv:
 
     # -- integration --------------------------------------------------------
 
-    def _forced_ramp_brake(self, vehicle: VehicleState) -> bool:
-        ramp = self.road.ramp_lane
-        return (
-            ramp is not None
-            and vehicle.lane_target == ramp
-            and vehicle.x >= self.road.merge_ramp_end_x
-        )
+    def _run_period(self) -> float:
+        """Advance all vehicles by the SUBSTEPS sub-steps of one decision period.
 
-    def _substep(self) -> None:
+        State is read from the VehicleState objects into lists once, stepped
+        there, and written back at the end. Returns the sum of |ego a| over
+        the sub-steps. Each sub-step runs in synchronous phases: every
+        acceleration from the same snapshot, then integration, then crash
+        folding, then the ego off-road check.
+        """
         ego = self._ego
         assert ego is not None
-        everyone = [ego, *self._traffic]
+        vehicles = [ego, *self._traffic]
+        n = len(vehicles)
+        xs = [v.x for v in vehicles]
+        ys = [v.y for v in vehicles]
+        vs = [v.v for v in vehicles]
+        accs = [v.a for v in vehicles]
+        crashed = [v.crashed for v in vehicles]
+        lengths = [v.length for v in vehicles]
+        widths = [v.width for v in vehicles]
+        target_speeds = [self._ego_target_speed] + [v.target_speed for v in self._traffic]
 
-        # Phase 1: accelerations from a synchronous state snapshot.
-        if ego.crashed:
-            ego.a = 0.0
-        elif self._forced_ramp_brake(ego):
-            ego.a = -A_MAX
-        else:
-            ego.a = _speed_tracking_accel(ego.v, self._ego_target_speed)
+        road = self.road
+        half = 0.5 * road.lane_width
+        target_ys = [road.lane_center(v.lane_target) for v in vehicles]
+        ramp = road.ramp_lane
+        ramp_end = road.merge_ramp_end_x
+        on_ramp = [ramp is not None and v.lane_target == ramp for v in vehicles]
+        low, high = road.y_bounds
+        slew = LATERAL_RATE * DT
+        c, m, l = self.ghr.c, self.ghr.m, self.ghr.l
+        queues = self._delay_queues if self._delay_substeps > 0 else None
 
-        for idx, vehicle in enumerate(self._traffic):
-            if vehicle.crashed:
-                vehicle.a = 0.0
-                continue
-            if self._forced_ramp_brake(vehicle):
-                vehicle.a = -A_MAX
-                continue
-            leader = _leader_of(vehicle, everyone, self.road.lane_width)
-            command = ghr_acceleration(vehicle, leader, self.ghr)
-            if self._delay_substeps > 0:
-                queue = self._delay_queues[idx]
-                delayed = queue[0]
-                queue.append(command)
-                command = delayed
-            vehicle.a = command
+        off_road = self._off_road
+        abs_accel_sum = 0.0
+        order = _x_order(xs)
+        for _ in range(SUBSTEPS):
+            # Phase 1: accelerations from a synchronous state snapshot.
+            leaders = _leaders(order, xs, ys, half)
+            for i in range(n):
+                if crashed[i]:
+                    accs[i] = 0.0
+                    continue
+                if on_ramp[i] and xs[i] >= ramp_end:
+                    accs[i] = -A_MAX
+                    continue
+                j = leaders[i]
+                if i == 0 or j < 0:  # the ego, or no leader: track the target speed
+                    command = _speed_tracking_accel(vs[i], target_speeds[i])
+                else:
+                    gap = xs[j] - xs[i] - 0.5 * (lengths[j] + lengths[i])
+                    command = _ghr_law(vs[i], vs[j], gap, c, m, l)
+                if i and queues is not None:
+                    queue = queues[i - 1]
+                    delayed = queue[0]
+                    queue.append(command)
+                    command = delayed
+                accs[i] = command
 
-        # Phase 2: integrate every non-crashed vehicle.
-        for vehicle in everyone:
-            if vehicle.crashed:
-                continue
-            vehicle.v = _clamp(vehicle.v + vehicle.a * DT, 0.0, V_LIMIT)
-            vehicle.x += vehicle.v * DT
-            target_y = self.road.lane_center(vehicle.lane_target)
-            dy = _clamp(target_y - vehicle.y, -LATERAL_RATE * DT, LATERAL_RATE * DT)
-            vehicle.y += dy
+            # Phase 2: integrate every non-crashed vehicle (clamps inlined).
+            for i in range(n):
+                if crashed[i]:
+                    continue
+                v = vs[i] + accs[i] * DT
+                v = 0.0 if v < 0.0 else V_LIMIT if v > V_LIMIT else v
+                vs[i] = v
+                xs[i] += v * DT
+                dy = target_ys[i] - ys[i]
+                ys[i] += -slew if dy < -slew else slew if dy > slew else dy
 
-        hit = collision_check(everyone)
-        for vehicle, flag in zip(everyone, hit):
-            if flag and not vehicle.crashed:
-                vehicle.crashed = True
-                vehicle.v = 0.0
-                vehicle.a = 0.0
+            # Phase 3: fold overlaps into sticky crashes. The x order found
+            # here also serves the next sub-step, since crashes move nothing.
+            order = _x_order(xs)
+            hit = _overlapping(order, xs, ys, lengths, widths)
+            for i in range(n):
+                if hit[i] and not crashed[i]:
+                    crashed[i] = True
+                    vs[i] = 0.0
+                    accs[i] = 0.0
 
-        low, high = self.road.y_bounds
-        if not self._off_road and not (low <= ego.y <= high):
-            self._off_road = True
-        self._substeps += 1
+            if not off_road and not (low <= ys[0] <= high):
+                off_road = True
+            abs_accel_sum += abs(accs[0])
+
+        for i, vehicle in enumerate(vehicles):
+            vehicle.x = xs[i]
+            vehicle.y = ys[i]
+            vehicle.v = vs[i]
+            vehicle.a = accs[i]
+            vehicle.crashed = crashed[i]
+        self._off_road = off_road
+        self._substeps += SUBSTEPS
+        return abs_accel_sum

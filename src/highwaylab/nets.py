@@ -282,14 +282,20 @@ def gradient_check(
 ) -> float:
     """Max relative error between backprop and central finite differences.
 
-    The relative error uses max(|analytic|, |numeric|, 1e-12) as denominator,
-    coordinate-wise, and the maximum over all parameters is returned.
+    Takes one input: a vector, or a batch of one row. The probe gets the
+    network output for it as a vector. The relative error uses
+    max(|analytic|, |numeric|, 1e-12) as denominator, coordinate-wise, and
+    the maximum over all parameters is returned.
     """
     x = np.asarray(x, dtype=np.float64)
-    x2 = x[None, :] if x.ndim == 1 else x
+    if not (x.ndim == 1 or (x.ndim == 2 and x.shape[0] == 1)):
+        raise ValueError(
+            f"gradient_check takes one input (a vector or a single row), got shape {x.shape}"
+        )
+    x2 = x.reshape(1, -1)
     acts = forward_activations(spec, params, x2)
-    _, g_out = probe(acts[-1][0] if x.ndim == 1 else acts[-1])
-    analytic = backward(spec, params, x, g_out, acts)
+    _, g_out = probe(acts[-1][0])
+    analytic = backward(spec, params, x2, np.asarray(g_out)[None, :], acts)
 
     theta = params.values.copy()
     numeric = np.empty_like(analytic)
@@ -497,10 +503,20 @@ def read_archive(path) -> dict[str, bytes]:
         (payload_len,) = r.unpack("<Q")
         raw_sections.append((name, r.take(payload_len)))
     _check_crc(data, r, "checkpoint archive")
-    try:
-        return {name.decode("utf-8"): payload for name, payload in raw_sections}
-    except UnicodeDecodeError:
-        raise CheckpointFormatError("checkpoint archive: section name is not UTF-8") from None
+    if r.offset != len(data):
+        raise CheckpointFormatError(
+            f"checkpoint archive: {len(data) - r.offset} bytes after the checksum"
+        )
+    sections: dict[str, bytes] = {}
+    for raw_name, payload in raw_sections:
+        try:
+            name = raw_name.decode("utf-8")
+        except UnicodeDecodeError:
+            raise CheckpointFormatError("checkpoint archive: section name is not UTF-8") from None
+        if name in sections:
+            raise CheckpointFormatError(f"checkpoint archive: duplicate section {name!r}")
+        sections[name] = payload
+    return sections
 
 
 def read_agent_checkpoint(
@@ -549,6 +565,18 @@ def adam_to_bytes(state: AdamState) -> bytes:
         state.m.size,
     )
     return head + state.m.astype("<f8").tobytes() + state.v.astype("<f8").tobytes()
+
+
+def adam_for_network(data: bytes, spec: NetworkSpec, section: str) -> AdamState:
+    """Decode the optimizer section of a checkpoint that updates a network
+    of shape `spec`; CheckpointMismatchError when its size differs."""
+    state = adam_from_bytes(data)
+    if state.m.size != spec.n_params:
+        raise CheckpointMismatchError(
+            f"{section} section holds {state.m.size} optimizer entries, "
+            f"its network has {spec.n_params} parameters"
+        )
+    return state
 
 
 def adam_from_bytes(data: bytes) -> AdamState:

@@ -29,7 +29,7 @@ from .nets import (
     AdamState,
     NetworkSpec,
     ParameterSet,
-    adam_from_bytes,
+    adam_for_network,
     adam_step,
     adam_to_bytes,
     backward,
@@ -431,8 +431,8 @@ class PpoLearner:
             raise CheckpointMismatchError("checkpoint network shapes differ from config")
         learner.policy_params = policy_params
         learner.value_params = value_params
-        learner.policy_adam = adam_from_bytes(adam_policy)
-        learner.value_adam = adam_from_bytes(adam_value)
+        learner.policy_adam = adam_for_network(adam_policy, policy_spec, "adam_policy")
+        learner.value_adam = adam_for_network(adam_value, value_spec, "adam_value")
         learner.rollouts_done = counters["rollouts_done"]
         learner.env_steps = counters["env_steps"]
         return learner

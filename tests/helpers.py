@@ -4,7 +4,11 @@ Everything here is deliberately written as plain loops, separate from the
 library implementations it checks.
 """
 
+import math
+
 import numpy as np
+
+from highwaylab.env import A_MAX, DT, K_P, LATERAL_RATE, SUBSTEPS, V_LIMIT, HighwayEnv
 
 
 def gae_double_sum(rewards, values, next_values, terminated, episode_end, gamma, lam):
@@ -61,3 +65,143 @@ class ChainMdp:
                     new[s, a] = r + (0.0 if done else gamma * q[nxt].max())
             q = new
         return q
+
+
+# ---------------------------------------------------------------------------
+# Simulator reference: one decision period as ten plain sub-step passes, each
+# with an O(n^2) leader scan per vehicle and an all-pairs collision test.
+# ---------------------------------------------------------------------------
+
+
+def _reference_clamp(value, low, high):
+    return low if value < low else high if value > high else value
+
+
+def reference_leader_of(subject, others, lane_width):
+    """Nearest vehicle strictly ahead and within half a lane laterally;
+    the first (lowest-index) of equally near ones."""
+    best = None
+    best_dx = math.inf
+    half = 0.5 * lane_width
+    for other in others:
+        if other is subject:
+            continue
+        dx = other.x - subject.x
+        if dx <= 0.0 or abs(other.y - subject.y) >= half:
+            continue
+        if dx < best_dx:
+            best = other
+            best_dx = dx
+    return best
+
+
+def reference_collisions(vehicles):
+    """All-pairs box overlap flags; boxes that merely touch collide."""
+    n = len(vehicles)
+    hit = [False] * n
+    for i in range(n):
+        vi = vehicles[i]
+        for j in range(i + 1, n):
+            vj = vehicles[j]
+            if abs(vi.x - vj.x) <= 0.5 * (vi.length + vj.length) and abs(
+                vi.y - vj.y
+            ) <= 0.5 * (vi.width + vj.width):
+                hit[i] = True
+                hit[j] = True
+    return hit
+
+
+def _reference_bumper_gap(follower, leader):
+    return leader.x - follower.x - 0.5 * (leader.length + follower.length)
+
+
+class ReferenceHighwayEnv(HighwayEnv):
+    """HighwayEnv whose decision period runs sub-step by sub-step on the
+    VehicleState objects, with the scans above; everything else is shared."""
+
+    def ego_leader_gap(self):
+        leader = reference_leader_of(self.ego, self._traffic, self.road.lane_width)
+        if leader is None:
+            return None
+        gap = _reference_bumper_gap(self.ego, leader)
+        return gap if gap > 0.0 else None
+
+    def _run_period(self):
+        abs_accel_sum = 0.0
+        for _ in range(SUBSTEPS):
+            self._reference_substep()
+            abs_accel_sum += abs(self._ego.a)
+        return abs_accel_sum
+
+    def _forced_ramp_brake(self, vehicle):
+        ramp = self.road.ramp_lane
+        return (
+            ramp is not None
+            and vehicle.lane_target == ramp
+            and vehicle.x >= self.road.merge_ramp_end_x
+        )
+
+    def _speed_tracking(self, v, v_target):
+        return _reference_clamp(K_P * (v_target - v), -A_MAX, A_MAX)
+
+    def _ghr(self, follower, leader):
+        if leader is None:
+            return self._speed_tracking(follower.v, follower.target_speed)
+        gap = _reference_bumper_gap(follower, leader)
+        if gap <= 0.0:
+            return -A_MAX
+        p = self.ghr
+        accel = p.c * follower.v**p.m * (leader.v - follower.v) / gap**p.l
+        return _reference_clamp(accel, -A_MAX, A_MAX)
+
+    def _reference_substep(self):
+        ego = self._ego
+        everyone = [ego, *self._traffic]
+
+        # Phase 1: accelerations from a synchronous state snapshot.
+        if ego.crashed:
+            ego.a = 0.0
+        elif self._forced_ramp_brake(ego):
+            ego.a = -A_MAX
+        else:
+            ego.a = self._speed_tracking(ego.v, self._ego_target_speed)
+
+        for idx, vehicle in enumerate(self._traffic):
+            if vehicle.crashed:
+                vehicle.a = 0.0
+                continue
+            if self._forced_ramp_brake(vehicle):
+                vehicle.a = -A_MAX
+                continue
+            leader = reference_leader_of(vehicle, everyone, self.road.lane_width)
+            command = self._ghr(vehicle, leader)
+            if self._delay_substeps > 0:
+                queue = self._delay_queues[idx]
+                delayed = queue[0]
+                queue.append(command)
+                command = delayed
+            vehicle.a = command
+
+        # Phase 2: integrate every non-crashed vehicle.
+        for vehicle in everyone:
+            if vehicle.crashed:
+                continue
+            vehicle.v = _reference_clamp(vehicle.v + vehicle.a * DT, 0.0, V_LIMIT)
+            vehicle.x += vehicle.v * DT
+            target_y = self.road.lane_center(vehicle.lane_target)
+            dy = _reference_clamp(
+                target_y - vehicle.y, -LATERAL_RATE * DT, LATERAL_RATE * DT
+            )
+            vehicle.y += dy
+
+        hit = reference_collisions(everyone)
+        for vehicle, flag in zip(everyone, hit):
+            if flag and not vehicle.crashed:
+                vehicle.crashed = True
+                vehicle.v = 0.0
+                vehicle.a = 0.0
+
+        low, high = self.road.y_bounds
+        if not self._off_road and not (low <= ego.y <= high):
+            self._off_road = True
+        self._substeps += 1

@@ -19,7 +19,8 @@ from highwaylab.env import (
     encode_observation,
     ghr_acceleration,
 )
-from highwaylab.errors import EnvStateError, EpisodeFinishedError
+from helpers import ReferenceHighwayEnv
+from highwaylab.errors import ConfigError, EnvStateError, EpisodeFinishedError
 
 MERGE = RoadConfig(scenario="merge")
 
@@ -107,18 +108,27 @@ class TestCollision:
 
     def test_symmetric_on_random_clouds(self):
         rng = np.random.default_rng(9)
+        clouds = [
+            [vehicle(float(rng.uniform(0, 40)), y=float(rng.uniform(0, 8))) for _ in range(6)]
+            for _ in range(30)
+        ]
+        # Mixed sizes: the sweep window is the longest vehicle, not 5 m.
         for _ in range(30):
-            cloud = [
-                vehicle(float(rng.uniform(0, 40)), y=float(rng.uniform(0, 8)))
-                for _ in range(6)
-            ]
+            cloud = []
+            for _ in range(25):
+                v = vehicle(float(rng.uniform(0, 120)), y=float(rng.uniform(0, 12)))
+                v.length = float(rng.uniform(3.0, 12.0))
+                v.width = float(rng.uniform(1.5, 3.0))
+                cloud.append(v)
+            clouds.append(cloud)
+        for cloud in clouds:
             flags = collision_check(cloud)
             # brute-force pair predicate, both directions
-            for i in range(6):
+            for i, vi in enumerate(cloud):
                 expected = any(
-                    abs(cloud[i].x - cloud[j].x) <= 5.0
-                    and abs(cloud[i].y - cloud[j].y) <= 2.0
-                    for j in range(6)
+                    abs(vi.x - vj.x) <= 0.5 * (vi.length + vj.length)
+                    and abs(vi.y - vj.y) <= 0.5 * (vi.width + vj.width)
+                    for j, vj in enumerate(cloud)
                     if j != i
                 )
                 assert flags[i] == expected
@@ -210,6 +220,11 @@ class TestReset:
         for seed in range(20):
             env.reset(seed)
             assert not collision_check(env.vehicles).any()
+
+    def test_infeasible_traffic_is_config_error(self):
+        env = HighwayEnv(road=MERGE, n_traffic=100)
+        with pytest.raises(ConfigError, match=r"n_traffic = 100.* 2 of 3 lanes.*\[30, 200\] m"):
+            env.reset(0)
 
     def test_invalid_road_rejected(self):
         with pytest.raises(ValueError):
@@ -412,3 +427,94 @@ class TestInvariants:
             while env.episode_active:
                 out = env.step(int(rng.integers(5)))
                 assert np.isfinite(out.reward.total)
+
+
+def _state(env, out):
+    """Everything one step exposes, as text that tells any two floats apart."""
+    vehicles = [(v.x, v.y, v.v, v.a, v.crashed) for v in env.vehicles]
+    step = (vehicles, out.reward, out.info, out.terminated, out.truncated)
+    return repr(step), out.observation.tobytes()
+
+
+def _add(env, x, y, v, length=5.0, width=2.0):
+    lane = max(0, round(y / env.road.lane_width))
+    env.add_traffic_vehicle(
+        VehicleState(x=x, y=y, v=v, lane_target=lane, length=length, width=width, target_speed=v)
+    )
+
+
+def _wide_and_tied(env):
+    # Non-default sizes, and two pairs at equal x in adjacent lanes.
+    _add(env, 60.0, 4.0, 12.0, length=12.0, width=2.6)
+    _add(env, 60.0, 8.0, 14.0, length=3.0, width=1.6)
+    _add(env, 95.0, 0.0, 15.0, length=8.0)
+    _add(env, 95.0, 4.0, 15.0, length=4.0)
+
+
+def _ulp_tie(env, y_first=0.0, y_second=0.0):
+    # The ego and one follower at -1000 m; two vehicles ahead whose x differ
+    # by one ulp, so both dx round to 1001 m and the lower index must win.
+    env.ego.x = -1000.0
+    _add(env, -1000.0, 0.0, 20.0)
+    _add(env, float(np.nextafter(1.0, 2.0)), y_first, 20.0, length=4.0)
+    _add(env, 1.0, y_second, 22.0, length=9.0)
+
+
+def _mid_lane(env):
+    # The ego starts between lanes, so every leader search sees it off-centre.
+    env.ego.y = 0.5 * env.road.lane_width + 0.3
+    env.ego.lane_target = 1
+
+
+HIGHWAY_4 = RoadConfig(lane_count=4)
+
+
+class TestKernelParity:
+    """The decision-period kernel against the sub-step reference in
+    tests/helpers.py: bitwise equal states, observations, rewards and info
+    after every step, with random actions."""
+
+    @pytest.mark.parametrize(
+        "kwargs, setup",
+        [
+            (dict(road=MERGE), None),
+            (dict(road=HIGHWAY_4, n_traffic=20), None),
+            (dict(road=MERGE, ghr=GhrParams(tau=0.5)), None),
+            (
+                dict(road=HIGHWAY_4, n_traffic=8, ghr=GhrParams(c=1.7, m=1.0, l=1.5, tau=0.3)),
+                _wide_and_tied,
+            ),
+            (dict(road=HIGHWAY_4, n_traffic=10), _ulp_tie),
+            (dict(road=RoadConfig(), n_traffic=12), _mid_lane),
+        ],
+        ids=["merge", "highway4_20", "tau", "wide_tied", "ulp_tie", "mid_lane"],
+    )
+    def test_matches_substep_reference(self, kwargs, setup):
+        rng = np.random.default_rng(31)
+        crashed_episodes = 0
+        lane_changes = 0
+        for episode in range(8):
+            env, ref = HighwayEnv(**kwargs), ReferenceHighwayEnv(**kwargs)
+            assert env.reset(episode).tobytes() == ref.reset(episode).tobytes()
+            if setup is not None:
+                setup(env)
+                setup(ref)
+            assert env.ego_leader_gap() == ref.ego_leader_gap()
+            while env.episode_active:
+                action = int(rng.integers(5))
+                lane_changes += action in (EgoAction.LANE_LEFT, EgoAction.LANE_RIGHT)
+                assert _state(env, env.step(action)) == _state(ref, ref.step(action))
+            assert not ref.episode_active
+            crashed_episodes += any(v.crashed for v in env.vehicles)
+        assert crashed_episodes > 0 and lane_changes > 0
+
+    @pytest.mark.parametrize("y_first, y_second", [(0.0, 0.0), (1.9, -1.9)])
+    def test_ulp_tie_goes_to_lower_index(self, y_first, y_second):
+        env = HighwayEnv(road=HIGHWAY_4, n_traffic=0)
+        env.reset(0)
+        env.ego.y = 0.0
+        _ulp_tie(env, y_first, y_second)
+        _, first, second = env.traffic
+        assert first.x - env.ego.x == second.x - env.ego.x
+        expected = first.x - env.ego.x - 0.5 * (first.length + env.ego.length)
+        assert env.ego_leader_gap() == expected

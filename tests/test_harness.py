@@ -9,7 +9,7 @@ import pytest
 from highwaylab.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, main
 from highwaylab.config import parse_config
 from highwaylab.dqn import DqnConfig, DqnLearner
-from highwaylab.errors import CheckpointError, CheckpointFormatError
+from highwaylab.errors import CheckpointError, CheckpointFormatError, CheckpointMismatchError
 from highwaylab.harness import (
     EVAL_CSV_COLUMNS,
     TRAIN_CSV_COLUMNS,
@@ -24,7 +24,7 @@ from highwaylab.harness import (
     run_eval,
     run_train,
 )
-from highwaylab.nets import read_archive, write_archive
+from highwaylab.nets import AdamState, adam_to_bytes, read_archive, write_archive
 from highwaylab.ppo import PpoConfig, PpoLearner
 
 SMALL_RANDOM = """
@@ -317,6 +317,11 @@ class TestCli:
         config_path.write_text("[experiment]\nagent = dqn\nwheels = 4\n")
         assert main(["train", "--config", str(config_path)]) == EXIT_CONFIG
 
+    def test_infeasible_traffic_exit_code(self, tmp_path):
+        config_path = tmp_path / "dense.ini"
+        config_path.write_text(SMALL_RANDOM + "\n[env]\nn_traffic = 100\n")
+        assert main(["train", "--config", str(config_path), "--out", str(tmp_path / "runs")]) == EXIT_CONFIG
+
     def test_missing_checkpoint_exit_code(self, tmp_path):
         config_path = tmp_path / "cfg.ini"
         config_path.write_text(SMALL_DQN)
@@ -372,6 +377,15 @@ class TestCorruptCheckpoint:
     def test_missing_section(self, tmp_path, agent, section):
         path = self.saved(tmp_path, agent, lambda s: s.pop(section))
         with pytest.raises(CheckpointFormatError, match=section):
+            self.load(path, agent)
+
+    @pytest.mark.parametrize(
+        "agent, section", [("dqn", "adam"), ("ppo", "adam_policy"), ("ppo", "adam_value")]
+    )
+    def test_optimizer_size_mismatch(self, tmp_path, agent, section):
+        wrong = adam_to_bytes(AdamState.create(7, 0.001))
+        path = self.saved(tmp_path, agent, lambda s: s.update({section: wrong}))
+        with pytest.raises(CheckpointMismatchError, match=f"{section} section holds 7"):
             self.load(path, agent)
 
     @pytest.mark.parametrize("agent", ["dqn", "ppo"])

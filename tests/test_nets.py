@@ -237,6 +237,15 @@ class TestGradientCheck:
 
         assert gradient_check(spec, params, np.ones(4), corrupted_probe) > 1e-2
 
+    def test_rejects_a_batch(self):
+        spec = NetworkSpec((3, 4, 3))
+        params = init_params(spec, 2)
+        probe = squared_error_probe(np.zeros(3))
+        row = np.array([[0.3, -0.1, 0.8]])
+        assert gradient_check(spec, params, row, probe) == gradient_check(spec, params, row[0], probe)
+        with pytest.raises(ValueError, match="one input"):
+            gradient_check(spec, params, np.ones((3, 3)), probe)
+
 
 class TestAdam:
     def test_zero_gradient_keeps_params(self):
@@ -411,6 +420,19 @@ class TestCheckpoint:
         data[-4:] = zlib.crc32(bytes(data[:-4])).to_bytes(4, "little")
         path.write_bytes(bytes(data))
         with pytest.raises(CheckpointFormatError):
+            read_archive(path)
+
+    def test_duplicate_section_is_format_error(self, tmp_path):
+        path = tmp_path / "arch.bin"
+        write_archive(path, [("a", b"1"), ("a", b"2")])
+        with pytest.raises(CheckpointFormatError, match="duplicate section 'a'"):
+            read_archive(path)
+
+    def test_bytes_after_checksum_are_format_error(self, tmp_path):
+        path = tmp_path / "arch.bin"
+        write_archive(path, [("a", b"1")])
+        path.write_bytes(path.read_bytes() + b"junk")
+        with pytest.raises(CheckpointFormatError, match="4 bytes after the checksum"):
             read_archive(path)
 
     @pytest.mark.parametrize("writer", ["save_params", "write_archive"])
