@@ -250,37 +250,47 @@ def _overlapping(
     ys: Sequence[float],
     lengths: Sequence[float],
     widths: Sequence[float],
-) -> list[bool]:
+) -> tuple[list[bool], bool]:
     """Sort-and-sweep box overlap along x; boxes that merely touch collide.
 
     `order` comes from `_x_order`. A pair more than the longest vehicle
     apart in x cannot overlap, so each vehicle's scan stops there.
+
+    Also returns whether every two x-adjacent vehicles are more than
+    4 * ulp(max |x|) apart. In such a state no two x are equal and no two
+    dx from one vehicle round alike, so `_leaders` depends only on the x
+    order and the ys.
     """
     n = len(order)
     hit = [False] * n
     if n == 0:
-        return hit
+        return hit, True
     window = max(lengths)
     sorted_xs = [xs[i] for i in order]
+    margin = 4.0 * math.ulp(max(sorted_xs[-1], -sorted_xs[0]))
+    separated = True
     for pos in range(n - 1):
         xi = sorted_xs[pos]
-        if sorted_xs[pos + 1] - xi > window:
+        gap = sorted_xs[pos + 1] - xi
+        if gap <= margin:
+            separated = False
+        if gap > window:
             continue
         i = order[pos]
         yi = ys[i]
         li = lengths[i]
         wi = widths[i]
         for k in range(pos + 1, n):
-            xj = sorted_xs[k]
-            if xj - xi > window:
+            dx = sorted_xs[k] - xi  # |dx|, as the scan runs in x order
+            if dx > window:
                 break
             j = order[k]
-            if abs(xi - xj) <= 0.5 * (li + lengths[j]) and abs(yi - ys[j]) <= 0.5 * (
+            if dx <= 0.5 * (li + lengths[j]) and abs(yi - ys[j]) <= 0.5 * (
                 wi + widths[j]
             ):
                 hit[i] = True
                 hit[j] = True
-    return hit
+    return hit, separated
 
 
 def collision_check(vehicles: Sequence[VehicleState]) -> np.ndarray:
@@ -292,7 +302,7 @@ def collision_check(vehicles: Sequence[VehicleState]) -> np.ndarray:
     length of each other.
     """
     xs = [v.x for v in vehicles]
-    hit = _overlapping(
+    hit, _ = _overlapping(
         _x_order(xs),
         xs,
         [v.y for v in vehicles],
@@ -322,27 +332,25 @@ def encode_observation(
     order. Everything is normalized by (100 m, 12 m, 30 m/s) and clamped to
     [-1, 1]; missing neighbor rows are all zero.
     """
-    obs = np.zeros((K_NEAREST + 1, OBS_ROW), dtype=np.float64)
+    ex, ey, ev = ego.x, ego.y, ego.v
     ego_vy = _lateral_velocity(ego, lane_width)
-    obs[0] = (
-        1.0,
-        ego.x / OBS_RANGE_X,
-        ego.y / OBS_RANGE_Y,
-        ego.v / OBS_RANGE_V,
-        ego_vy / OBS_RANGE_V,
-    )
-    ranked = sorted(range(len(traffic)), key=lambda i: (abs(traffic[i].x - ego.x), i))
-    for row, i in enumerate(ranked[:K_NEAREST], start=1):
+    values = [1.0, ex / OBS_RANGE_X, ey / OBS_RANGE_Y, ev / OBS_RANGE_V, ego_vy / OBS_RANGE_V]
+    distance = [abs(other.x - ex) for other in traffic]
+    # A stable sort, so equal distances keep index order.
+    for i in sorted(range(len(traffic)), key=distance.__getitem__)[:K_NEAREST]:
         other = traffic[i]
-        obs[row] = (
+        values += (
             1.0,
-            (other.x - ego.x) / OBS_RANGE_X,
-            (other.y - ego.y) / OBS_RANGE_Y,
-            (other.v - ego.v) / OBS_RANGE_V,
+            (other.x - ex) / OBS_RANGE_X,
+            (other.y - ey) / OBS_RANGE_Y,
+            (other.v - ev) / OBS_RANGE_V,
             (_lateral_velocity(other, lane_width) - ego_vy) / OBS_RANGE_V,
         )
-    np.clip(obs, -1.0, 1.0, out=obs)
-    return obs.reshape(-1)
+    values += [0.0] * (OBS_DIM - len(values))
+    # Clamped as np.clip does it: values inside [-1, 1], -0.0 included, pass.
+    return np.array(
+        [-1.0 if f < -1.0 else 1.0 if f > 1.0 else f for f in values], dtype=np.float64
+    )
 
 
 class HighwayEnv:
@@ -411,14 +419,20 @@ class HighwayEnv:
         return max(0, min(self.road.lane_count - 1, lane))
 
     def ego_leader_gap(self) -> float | None:
-        """Bumper gap to the ego's current leader, None when unconstrained."""
-        vehicles = self.vehicles
-        xs = [v.x for v in vehicles]
-        ys = [v.y for v in vehicles]
-        leader = _leaders(_x_order(xs), xs, ys, 0.5 * self.road.lane_width)[0]
-        if leader < 0:
+        """Bumper gap to the ego's current leader, None when unconstrained;
+        the leader is the one `_leaders` picks, found by one scan."""
+        ego = self.ego
+        half = 0.5 * self.road.lane_width
+        leader = None
+        best_dx = math.inf
+        for other in self._traffic:
+            dx = other.x - ego.x
+            dy = other.y - ego.y
+            if 0.0 < dx < best_dx and -half < dy < half:
+                leader, best_dx = other, dx
+        if leader is None:
             return None
-        gap = _bumper_gap(vehicles[0], vehicles[leader])
+        gap = _bumper_gap(ego, leader)
         return gap if gap > 0.0 else None
 
     # -- episode control ----------------------------------------------------
@@ -612,9 +626,15 @@ class HighwayEnv:
         off_road = self._off_road
         abs_accel_sum = 0.0
         order = _x_order(xs)
+        # A leader list is reused while the x order and every y hold still
+        # and both states are separated (see `_overlapping`); the start
+        # state's overlaps were folded in the previous period.
+        _, separated = _overlapping(order, xs, ys, lengths, widths)
+        leaders = None
         for _ in range(SUBSTEPS):
             # Phase 1: accelerations from a synchronous state snapshot.
-            leaders = _leaders(order, xs, ys, half)
+            if leaders is None:
+                leaders = _leaders(order, xs, ys, half)
             for i in range(n):
                 if crashed[i]:
                     accs[i] = 0.0
@@ -636,6 +656,7 @@ class HighwayEnv:
                 accs[i] = command
 
             # Phase 2: integrate every non-crashed vehicle (clamps inlined).
+            moved = False
             for i in range(n):
                 if crashed[i]:
                     continue
@@ -644,17 +665,23 @@ class HighwayEnv:
                 vs[i] = v
                 xs[i] += v * DT
                 dy = target_ys[i] - ys[i]
+                if dy:
+                    moved = True
                 ys[i] += -slew if dy < -slew else slew if dy > slew else dy
 
             # Phase 3: fold overlaps into sticky crashes. The x order found
             # here also serves the next sub-step, since crashes move nothing.
-            order = _x_order(xs)
-            hit = _overlapping(order, xs, ys, lengths, widths)
-            for i in range(n):
-                if hit[i] and not crashed[i]:
-                    crashed[i] = True
-                    vs[i] = 0.0
-                    accs[i] = 0.0
+            new_order = _x_order(xs)
+            hit, now_separated = _overlapping(new_order, xs, ys, lengths, widths)
+            if moved or not (separated and now_separated) or new_order != order:
+                leaders = None
+            order, separated = new_order, now_separated
+            if any(hit):
+                for i in range(n):
+                    if hit[i] and not crashed[i]:
+                        crashed[i] = True
+                        vs[i] = 0.0
+                        accs[i] = 0.0
 
             if not off_road and not (low <= ys[0] <= high):
                 off_road = True

@@ -408,6 +408,12 @@ class _Reader:
     def unpack(self, fmt: str):
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
+    def expect_end(self, last: str) -> None:
+        if self.offset != len(self.data):
+            raise CheckpointFormatError(
+                f"{self.what}: {len(self.data) - self.offset} bytes after the {last}"
+            )
+
 
 def _check_crc(data: bytes, reader: _Reader, what: str) -> None:
     (stored,) = reader.unpack("<I")
@@ -435,6 +441,7 @@ def network_from_bytes(data: bytes) -> tuple[NetworkSpec, ParameterSet]:
     (count,) = r.unpack("<Q")
     raw = r.take(count * 8)
     _check_crc(data, r, "network checkpoint")
+    r.expect_end("checksum")
     spec = NetworkSpec(sizes, _ACTIVATION_NAMES[act_code])
     if count != spec.n_params:
         raise CheckpointFormatError(
@@ -503,10 +510,7 @@ def read_archive(path) -> dict[str, bytes]:
         (payload_len,) = r.unpack("<Q")
         raw_sections.append((name, r.take(payload_len)))
     _check_crc(data, r, "checkpoint archive")
-    if r.offset != len(data):
-        raise CheckpointFormatError(
-            f"checkpoint archive: {len(data) - r.offset} bytes after the checksum"
-        )
+    r.expect_end("checksum")
     sections: dict[str, bytes] = {}
     for raw_name, payload in raw_sections:
         try:
@@ -584,4 +588,5 @@ def adam_from_bytes(data: bytes) -> AdamState:
     t, lr, beta1, beta2, eps, n = r.unpack("<QddddQ")
     m = np.frombuffer(r.take(n * 8), dtype="<f8").astype(np.float64)
     v = np.frombuffer(r.take(n * 8), dtype="<f8").astype(np.float64)
+    r.expect_end("second moments")
     return AdamState(m=m, v=v, t=int(t), learning_rate=lr, beta1=beta1, beta2=beta2, eps=eps)

@@ -54,9 +54,10 @@ class _Neighbor:
 
 
 def _decode(observation: np.ndarray, lane_width: float):
-    rows = np.asarray(observation, dtype=np.float64).reshape(K_NEAREST + 1, OBS_ROW)
-    ego_y = rows[0, 2] * OBS_RANGE_Y
-    ego_v = rows[0, 3] * OBS_RANGE_V
+    # Python floats: numpy scalar indexing costs more than the decision.
+    rows = np.asarray(observation, dtype=np.float64).reshape(K_NEAREST + 1, OBS_ROW).tolist()
+    ego_y = rows[0][2] * OBS_RANGE_Y
+    ego_v = rows[0][3] * OBS_RANGE_V
     neighbors = []
     for row in rows[1:]:
         if row[0] != 1.0:

@@ -8,7 +8,20 @@ import math
 
 import numpy as np
 
-from highwaylab.env import A_MAX, DT, K_P, LATERAL_RATE, SUBSTEPS, V_LIMIT, HighwayEnv
+from highwaylab.env import (
+    A_MAX,
+    DT,
+    K_NEAREST,
+    K_P,
+    LATERAL_RATE,
+    OBS_RANGE_V,
+    OBS_RANGE_X,
+    OBS_RANGE_Y,
+    OBS_ROW,
+    SUBSTEPS,
+    V_LIMIT,
+    HighwayEnv,
+)
 
 
 def gae_double_sum(rewards, values, next_values, terminated, episode_end, gamma, lam):
@@ -205,3 +218,58 @@ class ReferenceHighwayEnv(HighwayEnv):
         if not self._off_road and not (low <= ego.y <= high):
             self._off_road = True
         self._substeps += 1
+
+
+# ---------------------------------------------------------------------------
+# Observation reference: the encoding filled row by row into a numpy array,
+# and the rule agent's decoding of it through numpy scalars.
+# ---------------------------------------------------------------------------
+
+
+def _reference_lateral_velocity(vehicle, lane_width):
+    dy = vehicle.lane_target * lane_width - vehicle.y
+    if abs(dy) < 1e-12:
+        return 0.0
+    return math.copysign(LATERAL_RATE, dy)
+
+
+def reference_encode_observation(ego, traffic, lane_width=4.0):
+    """25 floats: the ego row, then the 4 vehicles nearest in |dx| (lower
+    index first on a tie) relative to the ego, normalised and np.clip-ed."""
+    obs = np.zeros((K_NEAREST + 1, OBS_ROW), dtype=np.float64)
+    ego_vy = _reference_lateral_velocity(ego, lane_width)
+    obs[0] = (
+        1.0,
+        ego.x / OBS_RANGE_X,
+        ego.y / OBS_RANGE_Y,
+        ego.v / OBS_RANGE_V,
+        ego_vy / OBS_RANGE_V,
+    )
+    ranked = sorted(range(len(traffic)), key=lambda i: (abs(traffic[i].x - ego.x), i))
+    for row, i in enumerate(ranked[:K_NEAREST], start=1):
+        other = traffic[i]
+        obs[row] = (
+            1.0,
+            (other.x - ego.x) / OBS_RANGE_X,
+            (other.y - ego.y) / OBS_RANGE_Y,
+            (other.v - ego.v) / OBS_RANGE_V,
+            (_reference_lateral_velocity(other, lane_width) - ego_vy) / OBS_RANGE_V,
+        )
+    np.clip(obs, -1.0, 1.0, out=obs)
+    return obs.reshape(-1)
+
+
+def reference_decode(observation, lane_width):
+    """(ego y, ego v, [(x_rel, lane, v_rel) per present neighbour row])."""
+    rows = np.asarray(observation, dtype=np.float64).reshape(K_NEAREST + 1, OBS_ROW)
+    ego_y = rows[0, 2] * OBS_RANGE_Y
+    ego_v = rows[0, 3] * OBS_RANGE_V
+    neighbors = []
+    for row in rows[1:]:
+        if row[0] != 1.0:
+            continue
+        y_abs = ego_y + row[2] * OBS_RANGE_Y
+        neighbors.append(
+            (row[1] * OBS_RANGE_X, int(round(y_abs / lane_width)), row[3] * OBS_RANGE_V)
+        )
+    return ego_y, ego_v, neighbors

@@ -4,6 +4,7 @@ tolerance and prints one PASS/FAIL line (visible regardless of capture).
 Criteria 5 to 7 share one set of full-scale merge training runs (three seeds
 of DQN at 50k steps, PPO at 25 x 2048 steps, and a random-policy logging run)
 built once per session; expect the whole module to take several minutes.
+They carry the `slow` marker, so `pytest -m "not slow"` leaves them out.
 """
 
 import functools
@@ -265,6 +266,7 @@ def quartile_trend(run_dir):
     return float(np.mean(moving[:k])), float(np.mean(moving[-k:]))
 
 
+@pytest.mark.slow
 @criterion(5, "DQN and PPO beat 1.5x random with a nondecreasing trend")
 def test_c5_learning_signal(merge_runs):
     baseline_config = merge_runs["dqn"]["config"]
@@ -297,6 +299,7 @@ def test_c5_learning_signal(merge_runs):
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.slow
 @criterion(6, "trained PPO >= rules return and >= 5x safer than random")
 def test_c6_superiority_claim(merge_runs):
     ppo_run = merge_runs["ppo"]
@@ -351,6 +354,7 @@ def _policy_fault_count(config, policy, run_seed, steps):
     return log.count
 
 
+@pytest.mark.slow
 @criterion(7, "fault logs are nondecreasing and trained agents fault less")
 def test_c7_fault_log(merge_runs):
     for run in merge_runs.values():

@@ -19,8 +19,9 @@ from highwaylab.env import (
     encode_observation,
     ghr_acceleration,
 )
-from helpers import ReferenceHighwayEnv
+from helpers import ReferenceHighwayEnv, reference_encode_observation
 from highwaylab.errors import ConfigError, EnvStateError, EpisodeFinishedError
+from highwaylab.rules import RuleAgent
 
 MERGE = RoadConfig(scenario="merge")
 
@@ -178,6 +179,35 @@ class TestEncoding:
             obs = encode_observation(ego, traffic)
             assert obs.shape == (OBS_DIM,)
             assert np.all(obs >= -1.0) and np.all(obs <= 1.0)
+
+    def test_matches_reference_encoding(self):
+        # Coordinates from small pools, so |dx| ties, clamped entries and
+        # -0.0 (from -0.0 - 0.0 or -0.0 / 30) all occur.
+        rng = np.random.default_rng(12)
+        xs = [-0.0, 0.0, 30.0, -30.0, 99.0, 150.0, -250.0, 1e-300]
+        ys = [-0.0, 0.0, 1.7, 4.0, 8.0, 20.0]
+        speeds = [-0.0, 0.0, 12.5, 25.0, 40.0]
+
+        def random_vehicle():
+            return VehicleState(
+                x=float(rng.choice(xs)),
+                y=float(rng.choice(ys)),
+                v=float(rng.choice(speeds)),
+                lane_target=int(rng.integers(3)),
+            )
+
+        ties = clamped = negative_zeros = 0
+        for _ in range(400):
+            ego = random_vehicle()
+            traffic = [random_vehicle() for _ in range(int(rng.integers(0, 9)))]
+            lane_width = float(rng.choice([3.5, 4.0]))
+            want = reference_encode_observation(ego, traffic, lane_width)
+            assert encode_observation(ego, traffic, lane_width).tobytes() == want.tobytes()
+            distances = [abs(t.x - ego.x) for t in traffic]
+            ties += len(set(distances)) < len(distances)
+            clamped += bool(np.any(np.abs(want.reshape(-1, 5)[:, 1:]) == 1.0))
+            negative_zeros += bool(np.any(np.signbit(want) & (want == 0.0)))
+        assert ties and clamped and negative_zeros
 
 
 class TestReset:
@@ -451,13 +481,33 @@ def _wide_and_tied(env):
     _add(env, 95.0, 4.0, 15.0, length=4.0)
 
 
-def _ulp_tie(env, y_first=0.0, y_second=0.0):
+def _ulp_tie(env, y_first=0.0, y_second=0.0, speeds=(20.0, 20.0, 22.0)):
     # The ego and one follower at -1000 m; two vehicles ahead whose x differ
     # by one ulp, so both dx round to 1001 m and the lower index must win.
     env.ego.x = -1000.0
+    _add(env, -1000.0, 0.0, speeds[0])
+    _add(env, float(np.nextafter(1.0, 2.0)), y_first, speeds[1], length=4.0)
+    _add(env, 1.0, y_second, speeds[2], length=9.0)
+
+
+def _ulp_tie_separating(env):
+    # The tie winner, one ulp ahead, is the faster one, and the follower
+    # outruns the ego: after the first sub-step the nearer vehicle leads
+    # the follower, and the x order has not changed.
+    _ulp_tie(env, speeds=(30.0, 22.0, 20.0))
+
+
+def _ulp_tie_closing(env):
+    # A vehicle closes to two ulps behind a stopped, crashed one in the first
+    # sub-step, so seen from 1000 m back their dx round alike and the lower
+    # index, the stopped one, leads; the x order and every y hold. Under a
+    # reaction delay the closing vehicle keeps its speed exactly.
+    env.ego.x = -2000.0
     _add(env, -1000.0, 0.0, 20.0)
-    _add(env, float(np.nextafter(1.0, 2.0)), y_first, 20.0, length=4.0)
-    _add(env, 1.0, y_second, 22.0, length=9.0)
+    env.add_traffic_vehicle(VehicleState(x=1.0, y=0.0, v=0.0, crashed=True, length=4.0))
+    closing_x = float(np.nextafter(np.nextafter(0.8, 0.0), 0.0))
+    _add(env, closing_x, 0.0, 2.0, length=9.0)
+    assert closing_x + 2.0 * DT == np.nextafter(np.nextafter(1.0, 0.0), 0.0)
 
 
 def _mid_lane(env):
@@ -472,38 +522,64 @@ HIGHWAY_4 = RoadConfig(lane_count=4)
 class TestKernelParity:
     """The decision-period kernel against the sub-step reference in
     tests/helpers.py: bitwise equal states, observations, rewards and info
-    after every step, with random actions."""
+    after every step, with random or rule-agent actions."""
 
     @pytest.mark.parametrize(
-        "kwargs, setup",
+        "kwargs, setup, driver",
         [
-            (dict(road=MERGE), None),
-            (dict(road=HIGHWAY_4, n_traffic=20), None),
-            (dict(road=MERGE, ghr=GhrParams(tau=0.5)), None),
+            (dict(road=MERGE), None, "random"),
+            (dict(road=HIGHWAY_4, n_traffic=20), None, "random"),
+            (dict(road=MERGE, ghr=GhrParams(tau=0.5)), None, "random"),
             (
                 dict(road=HIGHWAY_4, n_traffic=8, ghr=GhrParams(c=1.7, m=1.0, l=1.5, tau=0.3)),
                 _wide_and_tied,
+                "random",
             ),
-            (dict(road=HIGHWAY_4, n_traffic=10), _ulp_tie),
-            (dict(road=RoadConfig(), n_traffic=12), _mid_lane),
+            (dict(road=HIGHWAY_4, n_traffic=10), _ulp_tie, "random"),
+            (dict(road=RoadConfig(), n_traffic=12), _mid_lane, "random"),
+            (dict(road=HIGHWAY_4, n_traffic=10), _ulp_tie_separating, "random"),
+            (
+                dict(road=HIGHWAY_4, n_traffic=10, ghr=GhrParams(tau=0.3)),
+                _ulp_tie_closing,
+                "random",
+            ),
+            # Long episodes in which most sub-steps reuse a leader list.
+            (dict(road=HIGHWAY_4, n_traffic=20), None, "rules"),
         ],
-        ids=["merge", "highway4_20", "tau", "wide_tied", "ulp_tie", "mid_lane"],
+        ids=[
+            "merge",
+            "highway4_20",
+            "tau",
+            "wide_tied",
+            "ulp_tie",
+            "mid_lane",
+            "ulp_tie_separating",
+            "ulp_tie_closing",
+            "rules_highway4_20",
+        ],
     )
-    def test_matches_substep_reference(self, kwargs, setup):
+    def test_matches_substep_reference(self, kwargs, setup, driver):
         rng = np.random.default_rng(31)
         crashed_episodes = 0
         lane_changes = 0
         for episode in range(8):
             env, ref = HighwayEnv(**kwargs), ReferenceHighwayEnv(**kwargs)
-            assert env.reset(episode).tobytes() == ref.reset(episode).tobytes()
+            observation = env.reset(episode)
+            assert observation.tobytes() == ref.reset(episode).tobytes()
             if setup is not None:
                 setup(env)
                 setup(ref)
+            agent = RuleAgent(lane_count=env.road.lane_count, lane_width=env.road.lane_width)
             assert env.ego_leader_gap() == ref.ego_leader_gap()
             while env.episode_active:
-                action = int(rng.integers(5))
+                if driver == "rules":
+                    action = int(agent.act(observation))
+                else:
+                    action = int(rng.integers(5))
                 lane_changes += action in (EgoAction.LANE_LEFT, EgoAction.LANE_RIGHT)
-                assert _state(env, env.step(action)) == _state(ref, ref.step(action))
+                out = env.step(action)
+                assert _state(env, out) == _state(ref, ref.step(action))
+                observation = out.observation
             assert not ref.episode_active
             crashed_episodes += any(v.crashed for v in env.vehicles)
         assert crashed_episodes > 0 and lane_changes > 0

@@ -388,6 +388,15 @@ class TestCorruptCheckpoint:
         with pytest.raises(CheckpointMismatchError, match=f"{section} section holds 7"):
             self.load(path, agent)
 
+    @pytest.mark.parametrize(
+        "agent, section, after",
+        [("dqn", "q", "checksum"), ("dqn", "adam", "second moments")],
+    )
+    def test_bytes_after_section_data(self, tmp_path, agent, section, after):
+        path = self.saved(tmp_path, agent, lambda s: s.update({section: s[section] + b"junk"}))
+        with pytest.raises(CheckpointFormatError, match=f"4 bytes after the {after}"):
+            self.load(path, agent)
+
     @pytest.mark.parametrize("agent", ["dqn", "ppo"])
     def test_meta_not_json(self, tmp_path, agent):
         path = self.saved(tmp_path, agent, lambda s: s.update(meta=b'{"agent": '))

@@ -435,6 +435,14 @@ class TestCheckpoint:
         with pytest.raises(CheckpointFormatError, match="4 bytes after the checksum"):
             read_archive(path)
 
+    def test_params_bytes_after_checksum_are_format_error(self, tmp_path):
+        spec = NetworkSpec((4, 3))
+        path = tmp_path / "net.bin"
+        save_params(path, spec, init_params(spec, 0))
+        path.write_bytes(path.read_bytes() + b"junk")
+        with pytest.raises(CheckpointFormatError, match="4 bytes after the checksum"):
+            load_params(path)
+
     @pytest.mark.parametrize("writer", ["save_params", "write_archive"])
     def test_failed_replace_keeps_previous_file(self, tmp_path, monkeypatch, writer):
         path = tmp_path / "ckpt.bin"

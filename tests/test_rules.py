@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
+from helpers import reference_decode
 from highwaylab.actions import EgoAction
-from highwaylab.env import HighwayEnv, VehicleState, encode_observation
-from highwaylab.rules import FsmState, RuleAgent, RuleParams, decide
+from highwaylab.env import OBS_DIM, OBS_ROW, HighwayEnv, VehicleState, encode_observation
+from highwaylab.rules import FsmState, RuleAgent, RuleParams, _decode, decide
 
 PARAMS = RuleParams()
 
@@ -202,6 +203,28 @@ class TestSafetyProperty:
                 x_rel, _ = max(behind)
                 assert -x_rel - 5.0 >= PARAMS.gap_accept_rear
         assert checked > 50  # the property must actually get exercised
+
+
+class TestDecoding:
+    def test_matches_reference_decoding(self):
+        rng = np.random.default_rng(4)
+        for _ in range(300):
+            obs = rng.uniform(-1.0, 1.0, OBS_DIM)
+            obs[::OBS_ROW] = rng.choice([0.0, 1.0, 0.5], OBS_DIM // OBS_ROW)
+            obs[rng.random(OBS_DIM) < 0.1] = -0.0
+            lane_width = float(rng.choice([3.5, 4.0]))
+            ego_y, ego_v, neighbors = _decode(obs, lane_width)
+            got = [ego_y, ego_v] + [(n.x_rel, n.lane, n.v_rel) for n in neighbors]
+            want_y, want_v, want_neighbors = reference_decode(obs, lane_width)
+            want = [want_y, want_v] + want_neighbors
+            assert _bits(got) == _bits(want)
+
+
+def _bits(values):
+    """Nested values with every float as its exact hex text."""
+    if isinstance(values, (list, tuple)):
+        return [_bits(v) for v in values]
+    return values if isinstance(values, int) else float(values).hex()
 
 
 class TestValidation:
