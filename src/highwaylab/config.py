@@ -17,6 +17,7 @@ violations are hard errors reported with the offending file and line.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any
 
@@ -40,6 +41,13 @@ def _parse_bool(raw: str) -> bool:
     raise ValueError(f"expected a boolean, got {raw!r}")
 
 
+def _parse_float(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {raw.strip()!r}")
+    return value
+
+
 def _parse_int_list(raw: str) -> tuple[int, ...]:
     items = [part.strip() for part in raw.split(",") if part.strip()]
     if not items:
@@ -49,7 +57,7 @@ def _parse_int_list(raw: str) -> tuple[int, ...]:
 
 _PARSERS = {
     "int": int,
-    "float": float,
+    "float": _parse_float,
     "bool": _parse_bool,
     "str": lambda raw: raw.strip(),
     "int_list": _parse_int_list,
@@ -257,6 +265,9 @@ def parse_config(text: str, origin: str = "<config>") -> ExperimentConfig:
             scenario=scenario,
             merge_ramp_end_x=env_view.get("merge_ramp_end_x"),
         )
+    except ValueError as exc:
+        raise env_view.blame(str(exc)) from exc
+    try:
         ghr = GhrParams(
             c=env_view.get("ghr_c"),
             m=env_view.get("ghr_m"),
@@ -264,7 +275,8 @@ def parse_config(text: str, origin: str = "<config>") -> ExperimentConfig:
             tau=env_view.get("ghr_tau"),
         )
     except ValueError as exc:
-        raise env_view.blame(str(exc)) from exc
+        # GhrParams names its fields c, m, l and tau; the keys add "ghr_".
+        raise env_view.blame(f"ghr_{exc}") from exc
     n_traffic = env_view.get("n_traffic")
     horizon = env_view.get("horizon_steps")
     if n_traffic < 0:

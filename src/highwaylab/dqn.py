@@ -213,7 +213,7 @@ class DqnLearner:
         init_seed, action_seed, replay_seed = root.spawn(3)
         self.spec = NetworkSpec((obs_dim, *self.config.hidden_sizes, n_actions))
         self.params = init_params(self.spec, init_seed)
-        self.target_params = ParameterSet(self.params.values)
+        self.sync_target()
         self.adam = AdamState.create(self.spec.n_params, self.config.learning_rate)
         self.buffer = ReplayBuffer(self.config.buffer_capacity, obs_dim, replay_seed)
         self._action_rng = np.random.default_rng(action_seed)
@@ -238,7 +238,9 @@ class DqnLearner:
         self.env_steps += 1
 
     def sync_target(self) -> None:
-        self.target_params = ParameterSet(self.params.values)
+        """Hard target update. A ParameterSet is read-only and each Adam step
+        makes a new one, so the target shares the online set, uncopied."""
+        self.target_params = self.params
 
     def train_step(self) -> dict:
         """One sampled gradient step; a no-op before learn_start transitions."""

@@ -120,8 +120,13 @@ class GhrParams:
     tau: float = 0.0  # reaction delay, s, rounded to whole sub-steps
 
     def __post_init__(self) -> None:
+        for name in ("c", "m", "l", "tau"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.c <= 0:
             raise ValueError("c must be > 0")
+        if self.m < 0:  # a stopped follower would divide by 0.0**m
+            raise ValueError("m must be >= 0")
         if self.l < 0:
             raise ValueError("l must be >= 0")
         if self.tau < 0:
@@ -157,24 +162,6 @@ def _clamp(value: float, low: float, high: float) -> float:
     return low if value < low else high if value > high else value
 
 
-# The two acceleration laws below run once per vehicle and sub-step, so they
-# spell out _clamp(accel, -A_MAX, A_MAX) instead of calling it.
-
-
-def _speed_tracking_accel(v: float, v_target: float) -> float:
-    accel = K_P * (v_target - v)
-    return -A_MAX if accel < -A_MAX else A_MAX if accel > A_MAX else accel
-
-
-def _ghr_law(v: float, v_leader: float, gap: float, c: float, m: float, l: float) -> float:
-    """GHR acceleration c * v^m * (v_leader - v) / gap^l, clamped; a full
-    brake when the bumper gap is not positive."""
-    if gap <= 0.0:
-        return -A_MAX
-    accel = c * v**m * (v_leader - v) / gap**l
-    return -A_MAX if accel < -A_MAX else A_MAX if accel > A_MAX else accel
-
-
 def _bumper_gap(follower: VehicleState, leader: VehicleState) -> float:
     return leader.x - follower.x - 0.5 * (leader.length + follower.length)
 
@@ -186,11 +173,17 @@ def ghr_acceleration(
 
     Without a leader the vehicle tracks its own target speed. A non-positive
     bumper gap means the pair is overlapping, which commands a full brake.
-    The result is always clamped to [-A_MAX, A_MAX].
+    The result is always clamped to [-A_MAX, A_MAX]. `HighwayEnv._run_period`
+    spells out the same arithmetic inline.
     """
     if leader is None:
-        return _speed_tracking_accel(follower.v, follower.target_speed)
-    return _ghr_law(follower.v, leader.v, _bumper_gap(follower, leader), p.c, p.m, p.l)
+        accel = K_P * (follower.target_speed - follower.v)
+    else:
+        gap = _bumper_gap(follower, leader)
+        if gap <= 0.0:
+            return -A_MAX
+        accel = p.c * follower.v**p.m * (leader.v - follower.v) / gap**p.l
+    return _clamp(accel, -A_MAX, A_MAX)
 
 
 def _x_order(xs: Sequence[float]) -> list[int]:
@@ -250,31 +243,21 @@ def _overlapping(
     ys: Sequence[float],
     lengths: Sequence[float],
     widths: Sequence[float],
-) -> tuple[list[bool], bool]:
+) -> list[bool]:
     """Sort-and-sweep box overlap along x; boxes that merely touch collide.
 
     `order` comes from `_x_order`. A pair more than the longest vehicle
     apart in x cannot overlap, so each vehicle's scan stops there.
-
-    Also returns whether every two x-adjacent vehicles are more than
-    4 * ulp(max |x|) apart. In such a state no two x are equal and no two
-    dx from one vehicle round alike, so `_leaders` depends only on the x
-    order and the ys.
     """
     n = len(order)
     hit = [False] * n
     if n == 0:
-        return hit, True
+        return hit
     window = max(lengths)
     sorted_xs = [xs[i] for i in order]
-    margin = 4.0 * math.ulp(max(sorted_xs[-1], -sorted_xs[0]))
-    separated = True
     for pos in range(n - 1):
         xi = sorted_xs[pos]
-        gap = sorted_xs[pos + 1] - xi
-        if gap <= margin:
-            separated = False
-        if gap > window:
+        if sorted_xs[pos + 1] - xi > window:
             continue
         i = order[pos]
         yi = ys[i]
@@ -290,7 +273,66 @@ def _overlapping(
             ):
                 hit[i] = True
                 hit[j] = True
-    return hit, separated
+    return hit
+
+
+# How far accelerations alone can close a gap in k sub-steps: each of the two
+# speeds drifts by at most A_MAX * DT per sub-step.
+_ACCEL_CLOSING = [A_MAX * DT * DT * k * (k + 1) for k in range(SUBSTEPS + 1)]
+
+
+def _certificate(
+    order: Sequence[int],
+    xs: Sequence[float],
+    ys: Sequence[float],
+    vs: Sequence[float],
+    lengths: Sequence[float],
+    widths: Sequence[float],
+    crashed: Sequence[bool],
+    target_ys: Sequence[float],
+    half: float,
+    steps: int,
+) -> tuple[int, list[int] | None]:
+    """How many of the next `steps` (>= 1) sub-steps are proved to bring no
+    overlap and keep every leader, with the leader list; (0, None) if none.
+
+    A kinetic-data-structure certificate (Basch, Guibas & Hershberger 1997)
+    on a state that `order` sorts by x. P1: every vehicle that can move sits
+    on its lane-target y. P2: distinct ys lie more than the widest vehicle
+    and half a lane apart, so lanes neither overlap nor lead each other. P3:
+    in each lane every x-adjacent pair's bumper clearance, less a margin,
+    exceeds |dv| * DT * k + A_MAX * DT^2 * k(k+1), a bound on how far it
+    closes in k sub-steps; a crashed vehicle's speed counts as 0 whatever it
+    stores, and clamping speeds into [0, V_LIMIT] only brings them closer.
+    Then each lane keeps its order and a leader is the next in its lane.
+    """
+    for y, target_y, stopped in zip(ys, target_ys, crashed):
+        if y != target_y and not stopped:
+            return 0, None
+    lane_ys = sorted(set(ys))
+    apart = max(max(widths), half)
+    for y, next_y in zip(lane_ys, lane_ys[1:]):
+        if not next_y - y > apart:  # written so that NaN fails too
+            return 0, None
+    # Far above the rounding of ten sub-steps, and no two dx can round alike.
+    margin = 1e-6 + 1e-12 * max(xs[order[-1]], -xs[order[0]])
+    leader = [-1] * len(order)
+    behind: dict[float, int] = {}
+    k = steps
+    for i in order:
+        y = ys[i]
+        j = behind.get(y)
+        behind[y] = i
+        if j is None:
+            continue
+        leader[j] = i
+        clearance = xs[i] - xs[j] - 0.5 * (lengths[i] + lengths[j]) - margin
+        closing = abs((0.0 if crashed[i] else vs[i]) - (0.0 if crashed[j] else vs[j])) * DT
+        while not clearance > closing * k + _ACCEL_CLOSING[k]:
+            k -= 1
+            if not k:
+                return 0, None
+    return k, leader
 
 
 def collision_check(vehicles: Sequence[VehicleState]) -> np.ndarray:
@@ -302,7 +344,7 @@ def collision_check(vehicles: Sequence[VehicleState]) -> np.ndarray:
     length of each other.
     """
     xs = [v.x for v in vehicles]
-    hit, _ = _overlapping(
+    hit = _overlapping(
         _x_order(xs),
         xs,
         [v.y for v in vehicles],
@@ -595,9 +637,12 @@ class HighwayEnv:
 
         State is read from the VehicleState objects into lists once, stepped
         there, and written back at the end. Returns the sum of |ego a| over
-        the sub-steps. Each sub-step runs in synchronous phases: every
-        acceleration from the same snapshot, then integration, then crash
-        folding, then the ego off-road check.
+        the sub-steps. A sub-step is one pass in x order that computes each
+        acceleration and integrates it: a leader is strictly ahead, so it
+        moves only after its followers have read it, as if every acceleration
+        came from one snapshot. Then overlaps fold into sticky crashes. The
+        sub-steps that `_certificate` covers skip the sort, the sweep and the
+        leader search; the one after them uses the proved leaders once more.
         """
         ego = self._ego
         assert ego is not None
@@ -626,62 +671,61 @@ class HighwayEnv:
         off_road = self._off_road
         abs_accel_sum = 0.0
         order = _x_order(xs)
-        # A leader list is reused while the x order and every y hold still
-        # and both states are separated (see `_overlapping`); the start
-        # state's overlaps were folded in the previous period.
-        _, separated = _overlapping(order, xs, ys, lengths, widths)
-        leaders = None
-        for _ in range(SUBSTEPS):
-            # Phase 1: accelerations from a synchronous state snapshot.
+        certified, leaders = _certificate(
+            order, xs, ys, vs, lengths, widths, crashed, target_ys, half, SUBSTEPS
+        )
+        for step in range(SUBSTEPS):
             if leaders is None:
                 leaders = _leaders(order, xs, ys, half)
-            for i in range(n):
+            for i in order:
                 if crashed[i]:
                     accs[i] = 0.0
                     continue
-                if on_ramp[i] and xs[i] >= ramp_end:
-                    accs[i] = -A_MAX
-                    continue
-                j = leaders[i]
-                if i == 0 or j < 0:  # the ego, or no leader: track the target speed
-                    command = _speed_tracking_accel(vs[i], target_speeds[i])
+                v = vs[i]
+                x = xs[i]
+                if on_ramp[i] and x >= ramp_end:
+                    a = -A_MAX
                 else:
-                    gap = xs[j] - xs[i] - 0.5 * (lengths[j] + lengths[i])
-                    command = _ghr_law(vs[i], vs[j], gap, c, m, l)
-                if i and queues is not None:
-                    queue = queues[i - 1]
-                    delayed = queue[0]
-                    queue.append(command)
-                    command = delayed
-                accs[i] = command
-
-            # Phase 2: integrate every non-crashed vehicle (clamps inlined).
-            moved = False
-            for i in range(n):
-                if crashed[i]:
-                    continue
-                v = vs[i] + accs[i] * DT
+                    j = leaders[i]
+                    if i == 0 or j < 0:  # the ego, or no leader: track the target speed
+                        a = K_P * (target_speeds[i] - v)
+                    else:  # the GHR law; a full brake when the bumpers meet
+                        gap = xs[j] - x - 0.5 * (lengths[j] + lengths[i])
+                        a = -A_MAX if gap <= 0.0 else c * v**m * (vs[j] - v) / gap**l
+                    a = -A_MAX if a < -A_MAX else A_MAX if a > A_MAX else a
+                    if i and queues is not None:
+                        queue = queues[i - 1]
+                        delayed = queue[0]
+                        queue.append(a)
+                        a = delayed
+                accs[i] = a
+                v += a * DT
                 v = 0.0 if v < 0.0 else V_LIMIT if v > V_LIMIT else v
                 vs[i] = v
-                xs[i] += v * DT
+                xs[i] = x + v * DT
                 dy = target_ys[i] - ys[i]
-                if dy:
-                    moved = True
                 ys[i] += -slew if dy < -slew else slew if dy > slew else dy
 
-            # Phase 3: fold overlaps into sticky crashes. The x order found
-            # here also serves the next sub-step, since crashes move nothing.
-            new_order = _x_order(xs)
-            hit, now_separated = _overlapping(new_order, xs, ys, lengths, widths)
-            if moved or not (separated and now_separated) or new_order != order:
-                leaders = None
-            order, separated = new_order, now_separated
-            if any(hit):
-                for i in range(n):
-                    if hit[i] and not crashed[i]:
-                        crashed[i] = True
-                        vs[i] = 0.0
-                        accs[i] = 0.0
+            if certified:
+                # Proved: no overlap to fold, and the leaders and each lane's
+                # x order still hold for the next sub-step.
+                certified -= 1
+            else:
+                # Fold overlaps into sticky crashes. The x order found here
+                # also serves the next sub-step, since crashes move nothing.
+                order = _x_order(xs)
+                hit = _overlapping(order, xs, ys, lengths, widths)
+                if any(hit):
+                    for i in range(n):
+                        if hit[i] and not crashed[i]:
+                            crashed[i] = True
+                            vs[i] = 0.0
+                            accs[i] = 0.0
+                if step < SUBSTEPS - 1:  # unproved: leaders None, searched next
+                    certified, leaders = _certificate(
+                        order, xs, ys, vs, lengths, widths, crashed, target_ys, half,
+                        SUBSTEPS - 1 - step,
+                    )
 
             if not off_road and not (low <= ys[0] <= high):
                 off_road = True

@@ -132,6 +132,20 @@ class TestLinePreciseErrors:
         with pytest.raises(ConfigError, match="non-negative"):
             parse_config("[experiment]\nagent = dqn\nseeds = -3\n")
 
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [("env", "ghr_c", "nan"), ("env", "ghr_l", "inf"), ("reward", "w_safety", "-inf")],
+    )
+    def test_non_finite_float_rejected(self, section, key, value):
+        text = f"[experiment]\nagent = dqn\n\n[{section}]\n{key} = {value}\n"
+        with pytest.raises(ConfigError, match=rf"cfg:5: bad value for '{key}': expected a finite"):
+            parse_config(text, origin="cfg")
+
+    def test_negative_ghr_speed_exponent_blames_key_line(self):
+        text = "[experiment]\nagent = dqn\n\n[env]\nghr_c = 2\nghr_m = -1\n"
+        with pytest.raises(ConfigError, match=r"cfg:6: ghr_m must be >= 0"):
+            parse_config(text, origin="cfg")
+
     def test_ppo_divisibility_enforced(self):
         text = "[experiment]\nagent = ppo\n\n[ppo]\nrollout_length = 100\n"
         with pytest.raises(ConfigError, match="divisible"):

@@ -15,7 +15,14 @@ from highwaylab.dqn import (
     select_action,
 )
 from highwaylab.errors import CheckpointMismatchError, TrainingDivergenceError
-from highwaylab.nets import NetworkSpec, ParameterSet, backward, forward, init_params
+from highwaylab.nets import (
+    NetworkSpec,
+    ParameterSet,
+    backward,
+    forward,
+    init_params,
+    network_to_bytes,
+)
 
 
 def make_batch(rng, spec, size=8):
@@ -270,6 +277,22 @@ class TestLearner:
         for _ in range(5):
             learner.train_step()
         assert np.array_equal(learner.target_params.values, learner.params.values)
+
+    def test_synced_target_shares_the_read_only_parameters(self):
+        rng = np.random.default_rng(3)
+        learner = DqnLearner(4, 3, self.small_config(), seed=1)
+        assert learner.target_params is learner.params
+        self.feed(learner, rng, 16)
+        for _ in range(5):  # the fifth step syncs
+            learner.train_step()
+        synced = network_to_bytes(learner.spec, learner.params)
+        assert network_to_bytes(learner.spec, learner.target_params) == synced
+        assert not learner.target_params.values.flags.writeable
+        with pytest.raises(ValueError):
+            learner.target_params.values[0] = 1.0
+        learner.train_step()  # a new online set; the target keeps the synced one
+        assert network_to_bytes(learner.spec, learner.target_params) == synced
+        assert network_to_bytes(learner.spec, learner.params) != synced
 
     def test_tabular_reduction_moves_q_toward_target(self):
         """One repeated terminal transition with a linear net: Q(s, a) walks

@@ -317,6 +317,18 @@ class TestCli:
         config_path.write_text("[experiment]\nagent = dqn\nwheels = 4\n")
         assert main(["train", "--config", str(config_path)]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [("ghr_c = nan", "bad value for 'ghr_c'"), ("ghr_m = -1", "ghr_m must be >= 0")],
+    )
+    def test_bad_ghr_value_exit_code(self, tmp_path, capsys, line, message):
+        config_path = tmp_path / "ghr.ini"
+        config_path.write_text(SMALL_RANDOM + "\n[env]\n" + line + "\n")
+        out = tmp_path / "runs"
+        assert main(["train", "--config", str(config_path), "--out", str(out)]) == EXIT_CONFIG
+        assert f"{config_path}:11: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_infeasible_traffic_exit_code(self, tmp_path):
         config_path = tmp_path / "dense.ini"
         config_path.write_text(SMALL_RANDOM + "\n[env]\nn_traffic = 100\n")
