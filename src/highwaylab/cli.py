@@ -25,6 +25,17 @@ EXIT_DIVERGENCE = 3
 EXIT_IO = 4
 
 
+def _episode_seed(text: str) -> int:
+    """An episode seed for argparse: numpy seeds must be non-negative integers."""
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return seed
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="highwaylab",
@@ -50,7 +61,7 @@ def _build_parser() -> argparse.ArgumentParser:
     rollout.add_argument(
         "--checkpoint", default=None, help="trained checkpoint (dqn/ppo agents)"
     )
-    rollout.add_argument("--seed", required=True, type=int, help="episode seed")
+    rollout.add_argument("--seed", required=True, type=_episode_seed, help="episode seed")
     rollout.add_argument("--out", default="trajectory.csv", help="output CSV path")
 
     comp = sub.add_parser("compare", help="evaluate dqn, ppo, rules, random on one seed list")

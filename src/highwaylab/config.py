@@ -18,7 +18,7 @@ violations are hard errors reported with the offending file and line.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Any
 
 from .dqn import DqnConfig
@@ -228,6 +228,13 @@ class _SectionView:
         entry = self._raw.get(key)
         return entry[1] if entry else None
 
+    def build(self, cls):
+        """``cls`` from the keys named like its fields, with invariant errors blamed."""
+        try:
+            return cls(**{f.name: self.get(f.name) for f in fields(cls)})
+        except ValueError as exc:
+            raise self.blame(str(exc)) from exc
+
     def blame(self, message: str) -> ConfigError:
         """Attach the most plausible line to an invariant failure message."""
         for key in self._raw:
@@ -291,62 +298,12 @@ def parse_config(text: str, origin: str = "<config>") -> ExperimentConfig:
             comfort=reward_view.get("w_comfort"),
             efficiency=reward_view.get("w_efficiency"),
         )
-        reward_params = RewardParams(
-            tau_safe=reward_view.get("tau_safe"),
-            a_max=reward_view.get("a_max"),
-            kappa_lane_change=reward_view.get("kappa_lane_change"),
-            v_min=reward_view.get("v_min"),
-            v_max=reward_view.get("v_max"),
-        )
     except ValueError as exc:
         raise reward_view.blame(str(exc)) from exc
-
-    dqn_view = _SectionView(raw, "dqn", origin)
-    try:
-        dqn = DqnConfig(
-            gamma=dqn_view.get("gamma"),
-            learning_rate=dqn_view.get("learning_rate"),
-            batch_size=dqn_view.get("batch_size"),
-            buffer_capacity=dqn_view.get("buffer_capacity"),
-            target_sync_every=dqn_view.get("target_sync_every"),
-            target_sync_unit=dqn_view.get("target_sync_unit"),
-            epsilon_start=dqn_view.get("epsilon_start"),
-            epsilon_end=dqn_view.get("epsilon_end"),
-            epsilon_decay_steps=dqn_view.get("epsilon_decay_steps"),
-            learn_start=dqn_view.get("learn_start"),
-            hidden_sizes=dqn_view.get("hidden_sizes"),
-        )
-    except ValueError as exc:
-        raise dqn_view.blame(str(exc)) from exc
-
-    ppo_view = _SectionView(raw, "ppo", origin)
-    try:
-        ppo = PpoConfig(
-            clip_epsilon=ppo_view.get("clip_epsilon"),
-            gae_lambda=ppo_view.get("gae_lambda"),
-            gamma=ppo_view.get("gamma"),
-            rollout_length=ppo_view.get("rollout_length"),
-            epochs=ppo_view.get("epochs"),
-            minibatch_size=ppo_view.get("minibatch_size"),
-            policy_lr=ppo_view.get("policy_lr"),
-            value_lr=ppo_view.get("value_lr"),
-            entropy_coef=ppo_view.get("entropy_coef"),
-            normalize_advantages=ppo_view.get("normalize_advantages"),
-            hidden_sizes=ppo_view.get("hidden_sizes"),
-        )
-    except ValueError as exc:
-        raise ppo_view.blame(str(exc)) from exc
-
-    rules_view = _SectionView(raw, "rules", origin)
-    try:
-        rules = RuleParams(
-            headway_change_trigger=rules_view.get("headway_change_trigger"),
-            gap_accept_front=rules_view.get("gap_accept_front"),
-            gap_accept_rear=rules_view.get("gap_accept_rear"),
-            speed_advantage_min=rules_view.get("speed_advantage_min"),
-        )
-    except ValueError as exc:
-        raise rules_view.blame(str(exc)) from exc
+    reward_params = reward_view.build(RewardParams)
+    dqn = _SectionView(raw, "dqn", origin).build(DqnConfig)
+    ppo = _SectionView(raw, "ppo", origin).build(PpoConfig)
+    rules = _SectionView(raw, "rules", origin).build(RuleParams)
 
     seeds = experiment.get("seeds")
     if any(s < 0 for s in seeds):

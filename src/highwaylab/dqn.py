@@ -227,11 +227,8 @@ class DqnLearner:
     def q_values(self, obs: np.ndarray) -> np.ndarray:
         return forward(self.spec, self.params, obs)
 
-    def act(self, obs: np.ndarray, greedy: bool = False) -> int:
-        q = self.q_values(obs)
-        if greedy:
-            return int(np.argmax(q))
-        return select_action(q, self.epsilon, self._action_rng)
+    def act(self, obs: np.ndarray) -> int:
+        return select_action(self.q_values(obs), self.epsilon, self._action_rng)
 
     def observe(self, transition: Transition) -> None:
         self.buffer.add(transition)

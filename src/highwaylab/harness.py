@@ -18,10 +18,10 @@ Per-seed training output directory:
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 from collections import deque
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -30,8 +30,9 @@ from .actions import N_ACTIONS
 from .config import ExperimentConfig
 from .dqn import DqnLearner, Transition
 from .env import DECISION_PERIOD, OBS_DIM, HighwayEnv, StepOutcome
+from .episodes import EpisodeDriver, EpisodeStats
 from .errors import CheckpointError
-from .nets import forward
+from .nets import NetworkSpec, ParameterSet, forward
 from .ppo import PpoLearner, RolloutCollector
 from .rules import RuleAgent
 
@@ -137,17 +138,6 @@ def _sample_std(values) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EpisodeMetrics:
-    episode: int
-    episode_return: float  # undiscounted, after the 9-digit round trip
-    length: int
-    collided: bool
-    off_road: bool
-    mean_speed: float
-    lane_changes: int
-
-
 class FaultLog:
     """Cumulative fault count and open-fault duration, sampled every step.
 
@@ -176,73 +166,36 @@ class FaultLog:
 
 
 class TrainRecorder:
-    """Per-episode aggregation plus the 100-episode moving window."""
+    """Per-episode rows, the 100-episode moving window and the fault log."""
 
     def __init__(self, window: int = 100):
         self.faults = FaultLog()
         self._window = deque(maxlen=window)
         self.metric_rows: list[tuple[str, ...]] = []
-        self.episode_returns: list[float] = []
-        self._episode = 0
-        self._reset_accumulators(spawn_lane=0)
 
-    def _reset_accumulators(self, spawn_lane: int) -> None:
-        self._return = 0.0
-        self._length = 0
-        self._speed_sum = 0.0
-        self._lane_changes = 0
-        self._prev_lane = spawn_lane
-        self._collided = False
-        self._off_road = False
-
-    def begin_episode(self, spawn_lane: int) -> None:
-        self.faults.episode_reset()
-        self._reset_accumulators(spawn_lane)
-
-    def on_step(self, outcome: StepOutcome, global_step: int) -> None:
+    def on_step(self, stats: EpisodeStats, outcome: StepOutcome, global_step: int) -> None:
         info = outcome.info
-        self._return += outcome.reward.total
-        self._length += 1
-        self._speed_sum += info["ego_speed"]
-        lane = info["ego_lane"]
-        if lane != self._prev_lane:
-            self._lane_changes += 1
-            self._prev_lane = lane
-        self._collided = self._collided or info["crashed"]
-        self._off_road = self._off_road or info["off_road"]
         self.faults.record_step(global_step, info["crashed"] or info["off_road"])
-
-    def end_episode(self, global_step: int) -> EpisodeMetrics:
-        ret = round9(self._return)  # window statistics must match the file
+        if not (outcome.terminated or outcome.truncated):
+            return
+        ret = round9(stats.total)  # window statistics must match the file
         self._window.append(ret)
         window = list(self._window)
-        mean_speed = self._speed_sum / max(self._length, 1)
-        metrics = EpisodeMetrics(
-            episode=self._episode,
-            episode_return=ret,
-            length=self._length,
-            collided=self._collided,
-            off_road=self._off_road,
-            mean_speed=mean_speed,
-            lane_changes=self._lane_changes,
-        )
         self.metric_rows.append(
             (
-                str(self._episode),
+                str(len(self.metric_rows)),
                 str(global_step),
                 fmt9(ret),
-                str(self._length),
-                str(int(self._collided)),
-                str(int(self._off_road)),
+                str(stats.length),
+                str(int(stats.collided)),
+                str(int(stats.off_road)),
                 fmt9(float(np.mean(window))),
                 fmt9(_sample_std(window)),
                 str(self.faults.count),
                 fmt9(self.faults.duration_s),
             )
         )
-        self.episode_returns.append(ret)
-        self._episode += 1
-        return metrics
+        self.faults.episode_reset()  # no step is logged before the next reset
 
     def write(self, out_dir: Path) -> None:
         _write_csv(out_dir / "metrics.csv", TRAIN_CSV_COLUMNS, self.metric_rows)
@@ -287,28 +240,18 @@ class RulePolicy:
         return int(self._agent.act(obs))
 
 
-class GreedyDqnPolicy:
-    def __init__(self, learner: DqnLearner):
-        self._learner = learner
+class GreedyPolicy:
+    """Argmax of a network's outputs; keeps no per-episode state."""
+
+    def __init__(self, spec: NetworkSpec, params: ParameterSet):
+        self._spec = spec
+        self._params = params
 
     def reset(self, episode_seed: int, env: HighwayEnv) -> None:
         pass
 
     def act(self, obs: np.ndarray) -> int:
-        return int(np.argmax(forward(self._learner.spec, self._learner.params, obs)))
-
-
-class GreedyPpoPolicy:
-    def __init__(self, learner: PpoLearner):
-        self._learner = learner
-
-    def reset(self, episode_seed: int, env: HighwayEnv) -> None:
-        pass
-
-    def act(self, obs: np.ndarray) -> int:
-        return int(
-            np.argmax(forward(self._learner.policy_spec, self._learner.policy_params, obs))
-        )
+        return int(np.argmax(forward(self._spec, self._params, obs)))
 
 
 def make_env(config: ExperimentConfig) -> HighwayEnv:
@@ -334,8 +277,10 @@ def build_eval_policy(config: ExperimentConfig, checkpoint: str | Path | None):
     if not path.exists():
         raise CheckpointError(f"checkpoint not found: {path}")
     if config.agent == "dqn":
-        return GreedyDqnPolicy(DqnLearner.load(path, config.dqn))
-    return GreedyPpoPolicy(PpoLearner.load(path, config.ppo))
+        learner = DqnLearner.load(path, config.dqn)
+        return GreedyPolicy(learner.spec, learner.params)
+    learner = PpoLearner.load(path, config.ppo)
+    return GreedyPolicy(learner.policy_spec, learner.policy_params)
 
 
 # ---------------------------------------------------------------------------
@@ -343,51 +288,20 @@ def build_eval_policy(config: ExperimentConfig, checkpoint: str | Path | None):
 # ---------------------------------------------------------------------------
 
 
-def run_episode(env: HighwayEnv, policy, episode_seed: int) -> EpisodeMetrics:
-    obs = env.reset(episode_seed)
-    policy.reset(episode_seed, env)
-    prev_lane = env.ego_lane()
-    total = 0.0
-    length = 0
-    speed_sum = 0.0
-    lane_changes = 0
-    collided = False
-    off_road = False
-    while True:
-        outcome = env.step(policy.act(obs))
-        total += outcome.reward.total
-        length += 1
-        speed_sum += outcome.info["ego_speed"]
-        lane = outcome.info["ego_lane"]
-        if lane != prev_lane:
-            lane_changes += 1
-            prev_lane = lane
-        collided = collided or outcome.info["crashed"]
-        off_road = off_road or outcome.info["off_road"]
-        if outcome.terminated or outcome.truncated:
-            break
-        obs = outcome.observation
-    return EpisodeMetrics(
-        episode=0,
-        episode_return=round9(total),
-        length=length,
-        collided=collided,
-        off_road=off_road,
-        mean_speed=speed_sum / max(length, 1),
-        lane_changes=lane_changes,
-    )
+def run_episode(env: HighwayEnv, policy, episode_seed: int) -> EpisodeStats:
+    seed = lambda _: episode_seed
+    return EpisodeDriver(env, policy, seed, policy_seed_fn=seed).episode()
 
 
 def evaluate_policy(
     config: ExperimentConfig, policy, n_episodes: int
-) -> tuple[dict, list[EpisodeMetrics]]:
+) -> tuple[dict, list[EpisodeStats]]:
     """Run seeded deterministic episodes; aggregate mean, std, rates."""
     env = make_env(config)
-    episodes = []
-    for i in range(n_episodes):
-        metrics = run_episode(env, policy, eval_episode_seed(config.seeds, i))
-        episodes.append(dataclasses.replace(metrics, episode=i))
-    returns = [m.episode_return for m in episodes]
+    episodes = [
+        run_episode(env, policy, eval_episode_seed(config.seeds, i)) for i in range(n_episodes)
+    ]
+    returns = [round9(m.total) for m in episodes]
     summary = {
         "episodes": n_episodes,
         "mean_return": float(np.mean(returns)),
@@ -398,6 +312,11 @@ def evaluate_policy(
     return summary, episodes
 
 
+def _summary_row(first: str, second: str, summary: dict) -> tuple[str, ...]:
+    """An eval.csv or comparison.csv row: two key columns, then the summary."""
+    return (first, second, *(fmt9(summary[key]) for key in EVAL_CSV_COLUMNS[2:]))
+
+
 # ---------------------------------------------------------------------------
 # Training
 # ---------------------------------------------------------------------------
@@ -406,34 +325,23 @@ def evaluate_policy(
 class _PeriodicEval:
     """Shared evaluation cadence, best-checkpoint tracking, and eval.csv rows."""
 
-    def __init__(self, config: ExperimentConfig, out_dir: Path, save_checkpoint=None):
+    def __init__(self, config: ExperimentConfig, out_dir: Path, make_policy, save_checkpoint):
         self.config = config
         self.out_dir = out_dir
+        self.make_policy = make_policy
         self.save_checkpoint = save_checkpoint
         self.rows: list[tuple[str, ...]] = []
-        self.history: list[dict] = []
         self.best = -math.inf
         self.next_at = config.eval_every
         self.index = 0
 
-    def maybe_run(self, global_step: int, policy) -> None:
+    def maybe_run(self, global_step: int) -> None:
         if global_step < self.next_at:
             return
         while self.next_at <= global_step:
             self.next_at += self.config.eval_every
-        summary, _ = evaluate_policy(self.config, policy, self.config.eval_episodes)
-        summary = dict(summary, global_step=global_step, eval_index=self.index)
-        self.history.append(summary)
-        self.rows.append(
-            (
-                str(self.index),
-                str(global_step),
-                fmt9(summary["mean_return"]),
-                fmt9(summary["std_return"]),
-                fmt9(summary["collision_rate"]),
-                fmt9(summary["mean_speed"]),
-            )
-        )
+        summary, _ = evaluate_policy(self.config, self.make_policy(), self.config.eval_episodes)
+        self.rows.append(_summary_row(str(self.index), str(global_step), summary))
         print(
             f"  eval {self.index}: step={global_step} "
             f"mean_return={summary['mean_return']:.3f} "
@@ -449,119 +357,69 @@ class _PeriodicEval:
         _write_csv(self.out_dir / "eval.csv", EVAL_CSV_COLUMNS, self.rows)
 
 
-def _train_dqn_run(config: ExperimentConfig, run_seed: int, out_dir: Path) -> DqnLearner:
-    env = make_env(config)
-    learner = DqnLearner(OBS_DIM, N_ACTIONS, config.dqn, seed=run_seed)
-    recorder = TrainRecorder()
-    evaluator = _PeriodicEval(config, out_dir, save_checkpoint=learner.save)
-    policy = GreedyDqnPolicy(learner)
+def _train_run(config: ExperimentConfig, run_seed: int, out_dir: Path) -> None:
+    """One seed's run: every agent steps through one EpisodeDriver.
 
-    episode = 0
-    global_step = 0
-    obs = env.reset(train_episode_seed(run_seed, episode))
-    recorder.begin_episode(env.ego_lane())
-    while global_step < config.total_env_steps:
-        action = learner.act(obs)
-        outcome = env.step(action)
-        global_step += 1
-        learner.observe(
-            Transition(obs, action, outcome.reward.total, outcome.observation, outcome.terminated)
-        )
-        learner.train_step()
-        recorder.on_step(outcome, global_step)
-        if outcome.terminated or outcome.truncated:
-            recorder.end_episode(global_step)
-            episode += 1
-            obs = env.reset(train_episode_seed(run_seed, episode))
-            recorder.begin_episode(env.ego_lane())
-        else:
-            obs = outcome.observation
-        evaluator.maybe_run(global_step, policy)
-
-    recorder.write(out_dir)
-    evaluator.write()
-    learner.save(out_dir / "checkpoint_final.bin")
-    return learner
-
-
-def _train_ppo_run(config: ExperimentConfig, run_seed: int, out_dir: Path) -> PpoLearner:
-    env = make_env(config)
-    learner = PpoLearner(OBS_DIM, N_ACTIONS, config.ppo, seed=run_seed)
-    recorder = TrainRecorder()
-    evaluator = _PeriodicEval(config, out_dir, save_checkpoint=learner.save)
-    policy = GreedyPpoPolicy(learner)
-
-    state = {"global_step": 0}
-
-    def on_step(outcome: StepOutcome, action: int) -> None:
-        state["global_step"] += 1
-        recorder.on_step(outcome, state["global_step"])
-        if outcome.terminated or outcome.truncated:
-            recorder.end_episode(state["global_step"])
-
-    def on_reset(env_instance: HighwayEnv) -> None:
-        recorder.begin_episode(env_instance.ego_lane())
-
-    collector = RolloutCollector(
-        env,
-        episode_seed_fn=lambda i: train_episode_seed(run_seed, i),
-        on_step=on_step,
-        on_reset=on_reset,
-    )
-    while state["global_step"] < config.total_env_steps:
-        batch = collector.collect(
-            learner.policy_spec,
-            learner.policy_params,
-            learner.value_spec,
-            learner.value_params,
-            config.ppo.rollout_length,
-            learner.action_rng,
-        )
-        learner.prepare(batch)
-        learner.update(batch)
-        evaluator.maybe_run(state["global_step"], policy)
-
-    recorder.write(out_dir)
-    evaluator.write()
-    learner.save(out_dir / "checkpoint_final.bin")
-    return learner
-
-
-def _train_scripted_run(config: ExperimentConfig, run_seed: int, out_dir: Path) -> None:
-    """'Training' a rules or random agent just logs its behavior."""
+    DQN learns after every step, PPO after every rollout; rules and random
+    agents only log their behaviour. Evaluation follows each step or rollout
+    once the cadence is due, and uses a greedy or a separate scripted policy.
+    """
     env = make_env(config)
     recorder = TrainRecorder()
-    evaluator = _PeriodicEval(config, out_dir)
-    if config.agent == "rules":
-        policy = RulePolicy(config)
-        eval_policy = RulePolicy(config)
+    episode_seed = functools.partial(train_episode_seed, run_seed)
+    learner = None
+    if config.agent == "dqn":
+        learner = DqnLearner(OBS_DIM, N_ACTIONS, config.dqn, seed=run_seed)
+
+        def learn(obs, action, outcome: StepOutcome) -> None:
+            learner.observe(
+                Transition(obs, action, outcome.reward.total, outcome.observation, outcome.terminated)
+            )
+            learner.train_step()
+
+        driver = EpisodeDriver(env, learner, episode_seed, on_step=learn, recorder=recorder)
+        advance = driver.step
+        make_eval_policy = lambda: GreedyPolicy(learner.spec, learner.params)
+    elif config.agent == "ppo":
+        learner = PpoLearner(OBS_DIM, N_ACTIONS, config.ppo, seed=run_seed)
+        driver = RolloutCollector(env, episode_seed, recorder)
+
+        def advance() -> None:
+            batch = driver.collect(
+                learner.policy_spec,
+                learner.policy_params,
+                learner.value_spec,
+                learner.value_params,
+                config.ppo.rollout_length,
+                learner.action_rng,
+            )
+            learner.prepare(batch)
+            learner.update(batch)
+
+        make_eval_policy = lambda: GreedyPolicy(learner.policy_spec, learner.policy_params)
     else:
-        policy = RandomPolicy(run_seed, tag=_TAG_RANDOM_TRAIN)
-        eval_policy = RandomPolicy()
-
-    def begin_episode(episode: int) -> np.ndarray:
-        obs = env.reset(train_episode_seed(run_seed, episode))
-        policy.reset(derive_seed(run_seed, episode), env)
-        recorder.begin_episode(env.ego_lane())
-        return obs
-
-    episode = 0
-    global_step = 0
-    obs = begin_episode(episode)
-    while global_step < config.total_env_steps:
-        outcome = env.step(policy.act(obs))
-        global_step += 1
-        recorder.on_step(outcome, global_step)
-        if outcome.terminated or outcome.truncated:
-            recorder.end_episode(global_step)
-            episode += 1
-            obs = begin_episode(episode)
+        if config.agent == "rules":
+            policy, eval_policy = RulePolicy(config), RulePolicy(config)
         else:
-            obs = outcome.observation
-        evaluator.maybe_run(global_step, eval_policy)
+            policy = RandomPolicy(run_seed, tag=_TAG_RANDOM_TRAIN)
+            eval_policy = RandomPolicy()
+        policy_seed = functools.partial(derive_seed, run_seed)
+        driver = EpisodeDriver(env, policy, episode_seed, policy_seed, recorder=recorder)
+        advance = driver.step
+        make_eval_policy = lambda: eval_policy
+    evaluator = _PeriodicEval(
+        config, out_dir, make_eval_policy, None if learner is None else learner.save
+    )
+
+    driver.reset()
+    while driver.global_step < config.total_env_steps:
+        advance()
+        evaluator.maybe_run(driver.global_step)
 
     recorder.write(out_dir)
     evaluator.write()
+    if learner is not None:
+        learner.save(out_dir / "checkpoint_final.bin")
 
 
 def run_train(config: ExperimentConfig, out_dir) -> dict[int, Path]:
@@ -572,12 +430,7 @@ def run_train(config: ExperimentConfig, out_dir) -> dict[int, Path]:
         seed_dir = out_dir / f"seed_{run_seed}"
         seed_dir.mkdir(parents=True, exist_ok=True)
         print(f"[train] agent={config.agent} scenario={config.scenario} seed={run_seed}")
-        if config.agent == "dqn":
-            _train_dqn_run(config, run_seed, seed_dir)
-        elif config.agent == "ppo":
-            _train_ppo_run(config, run_seed, seed_dir)
-        else:
-            _train_scripted_run(config, run_seed, seed_dir)
+        _train_run(config, run_seed, seed_dir)
         run_dirs[run_seed] = seed_dir
     return run_dirs
 
@@ -601,7 +454,7 @@ def run_eval(config: ExperimentConfig, checkpoint, out_dir) -> dict:
             (
                 str(i),
                 str(eval_episode_seed(config.seeds, i)),
-                fmt9(m.episode_return),
+                fmt9(m.total),
                 str(m.length),
                 str(int(m.collided)),
                 str(int(m.off_road)),
@@ -622,18 +475,13 @@ def export_trajectory(config: ExperimentConfig, checkpoint, seed: int, out_path)
     out_path.parent.mkdir(parents=True, exist_ok=True)
     policy = build_eval_policy(config, checkpoint)
     env = make_env(config)
-    obs = env.reset(seed)
-    policy.reset(seed, env)
     rows = []
-    t = 0
-    while True:
-        action = policy.act(obs)
-        outcome = env.step(action)
-        t += 1
+
+    def add_row(obs, action, outcome: StepOutcome) -> None:
         ego = env.ego
         rows.append(
             (
-                str(t),
+                str(len(rows) + 1),
                 fmt9(ego.x),
                 fmt9(ego.y),
                 str(outcome.info["ego_lane"]),
@@ -645,9 +493,9 @@ def export_trajectory(config: ExperimentConfig, checkpoint, seed: int, out_path)
                 fmt9(outcome.reward.total),
             )
         )
-        if outcome.terminated or outcome.truncated:
-            break
-        obs = outcome.observation
+
+    seed_fn = lambda _: seed
+    EpisodeDriver(env, policy, seed_fn, policy_seed_fn=seed_fn, on_step=add_row).episode()
     _write_csv(out_path, TRAJECTORY_CSV_COLUMNS, rows)
     return out_path
 
@@ -674,16 +522,7 @@ def compare(config: ExperimentConfig, out_dir) -> tuple[list[dict], dict[str, st
         summary, _ = evaluate_policy(agent_config, policy, config.eval_episodes)
         summary = dict(summary, agent=agent)
         table.append(summary)
-        rows.append(
-            (
-                agent,
-                str(summary["episodes"]),
-                fmt9(summary["mean_return"]),
-                fmt9(summary["std_return"]),
-                fmt9(summary["collision_rate"]),
-                fmt9(summary["mean_speed"]),
-            )
-        )
+        rows.append(_summary_row(agent, str(summary["episodes"]), summary))
     _write_csv(out_dir / "comparison.csv", COMPARE_CSV_COLUMNS, rows)
 
     header = f"{'agent':<8} {'mean_return':>12} {'std':>10} {'collisions':>11} {'mean_speed':>11}"

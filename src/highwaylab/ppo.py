@@ -24,6 +24,7 @@ from typing import Callable
 import numpy as np
 
 from .actions import N_ACTIONS
+from .episodes import EpisodeDriver
 from .errors import CheckpointMismatchError, TrainingDivergenceError
 from .nets import (
     AdamState,
@@ -173,9 +174,7 @@ def ppo_objective(
     if not np.all(np.isfinite(ratios)):
         raise TrainingDivergenceError("non-finite policy ratio")
 
-    unclipped = ratios * advantages
-    clipped = np.clip(ratios, 1.0 - clip_epsilon, 1.0 + clip_epsilon) * advantages
-    surrogate = np.minimum(unclipped, clipped)
+    surrogate = clipped_surrogate(ratios, advantages, clip_epsilon)
     probs = np.exp(logp_all)
     entropies = -(probs * logp_all).sum(axis=1)
     objective = float(surrogate.mean() + entropy_coef * entropies.mean())
@@ -184,7 +183,8 @@ def ppo_objective(
 
     # d surrogate / d new_log_prob: ratio * A where the unclipped branch is
     # active (ties included; both branches agree there), else zero.
-    active = unclipped <= clipped
+    unclipped = ratios * advantages
+    active = surrogate == unclipped
     coef = np.where(active, unclipped, 0.0) / n
     g_logits = coef[:, None] * (-probs)
     g_logits[rows, actions] += coef
@@ -193,7 +193,7 @@ def ppo_objective(
 
     grad = backward(policy_spec, policy_params, obs, g_logits, acts)
     stats = {
-        "clip_fraction": float(np.mean(clipped < unclipped)),
+        "clip_fraction": float(np.mean(~active)),
         "entropy": float(entropies.mean()),
     }
     return objective, grad, stats
@@ -217,30 +217,25 @@ def value_loss(
     return loss, backward(value_spec, value_params, obs, g_out, acts)
 
 
-class RolloutCollector:
+def _sample_action(rng: np.random.Generator, probs: np.ndarray) -> int:
+    """Draw an action index; non-finite probabilities mean the policy diverged."""
+    try:
+        return int(rng.choice(probs.size, p=probs))
+    except ValueError as exc:  # numpy refuses NaN or unnormalizable probabilities
+        raise TrainingDivergenceError(f"bad action probabilities: {exc}") from None
+
+
+class RolloutCollector(EpisodeDriver):
     """Steps an environment across rollout boundaries, auto-resetting episodes.
 
     ``episode_seed_fn(episode_index)`` supplies the seed for every fresh
     episode, so a fixed function plus a fixed action stream reproduces the
-    rollout bit for bit. ``on_step(outcome, action)`` runs once per
-    environment step and ``on_reset(env)`` right after every episode reset,
-    both intended for metrics recording.
+    rollout bit for bit. A ``recorder`` sees every step, as in
+    `EpisodeDriver`.
     """
 
-    def __init__(
-        self, env, episode_seed_fn: Callable[[int], int], on_step=None, on_reset=None
-    ):
-        self.env = env
-        self.episode_seed_fn = episode_seed_fn
-        self.on_step = on_step
-        self.on_reset = on_reset
-        self.episode_index = 0
-        self._obs: np.ndarray | None = None
-
-    def _reset(self) -> None:
-        self._obs = self.env.reset(self.episode_seed_fn(self.episode_index))
-        if self.on_reset is not None:
-            self.on_reset(self.env)
+    def __init__(self, env, episode_seed_fn: Callable[[int], int], recorder=None):
+        super().__init__(env, None, episode_seed_fn, recorder=recorder)
 
     def collect(
         self,
@@ -261,20 +256,17 @@ class RolloutCollector:
         terminated = np.zeros(length, dtype=bool)
         episode_end = np.zeros(length, dtype=bool)
 
-        if self._obs is None:
-            self._reset()
-        # V(self._obs) when the previous step computed it as its next value;
+        if self.obs is None:
+            self.reset()
+        # V(self.obs) when the previous step computed it as its next value;
         # unknown after a reset and at the start, since update() changes the net.
         value = None
 
         for t in range(length):
-            obs = self._obs
-            logits = forward(policy_spec, policy_params, obs)
-            logp = log_softmax(logits)
-            action = int(rng.choice(logits.size, p=np.exp(logp)))
-            outcome = self.env.step(action)
-            if self.on_step is not None:
-                self.on_step(outcome, action)
+            obs = self.obs
+            logp = log_softmax(forward(policy_spec, policy_params, obs))
+            action = _sample_action(rng, np.exp(logp))
+            outcome = self.step(action)
 
             obs_arr[t] = obs
             actions[t] = action
@@ -283,16 +275,8 @@ class RolloutCollector:
             next_values[t] = forward(value_spec, value_params, outcome.observation)[0]
             log_probs[t] = logp[action]
             terminated[t] = outcome.terminated
-            ended = outcome.terminated or outcome.truncated
-            episode_end[t] = ended
-
-            if ended:
-                self.episode_index += 1
-                self._reset()
-                value = None
-            else:
-                self._obs = outcome.observation
-                value = next_values[t]
+            episode_end[t] = outcome.terminated or outcome.truncated
+            value = None if episode_end[t] else next_values[t]
 
         episode_end[-1] = True  # rollout cut: stop the recursion, bootstrap
         return RolloutBatch(
@@ -332,7 +316,7 @@ class PpoLearner:
         logits = forward(self.policy_spec, self.policy_params, obs)
         if greedy:
             return int(np.argmax(logits))
-        return int(self.action_rng.choice(logits.size, p=softmax(logits)))
+        return _sample_action(self.action_rng, softmax(logits))
 
     def policy_probabilities(self, obs: np.ndarray) -> np.ndarray:
         return softmax(forward(self.policy_spec, self.policy_params, obs))
@@ -388,9 +372,7 @@ class PpoLearner:
                 n_minibatches += 1
         self.rollouts_done += 1
         self.env_steps += n
-        if n_minibatches == 0:
-            return {"policy_objective": 0.0, "value_loss": 0.0, "clip_fraction": 0.0, "entropy": 0.0}
-        return {key: value / n_minibatches for key, value in stats_acc.items()}
+        return {key: value / max(n_minibatches, 1) for key, value in stats_acc.items()}
 
     # -- checkpointing -------------------------------------------------------
 

@@ -15,14 +15,18 @@ from highwaylab.harness import (
     TRAIN_CSV_COLUMNS,
     TRAJECTORY_CSV_COLUMNS,
     FaultLog,
+    RulePolicy,
     build_eval_policy,
     compare,
     derive_seed,
     eval_episode_seed,
     export_trajectory,
     fmt9,
+    make_env,
+    run_episode,
     run_eval,
     run_train,
+    train_episode_seed,
 )
 from highwaylab.nets import AdamState, adam_to_bytes, read_archive, write_archive
 from highwaylab.ppo import PpoConfig, PpoLearner
@@ -184,6 +188,14 @@ class TestRunTrain:
         assert durations == sorted(durations)
 
 
+class TestOneEpisodeLoop:
+    def test_first_training_row_equals_run_episode(self, tmp_path):
+        cfg = parse_config(SMALL_RANDOM.replace("agent = random", "agent = rules"))
+        _, rows = read_csv(run_train(cfg, tmp_path)[5] / "metrics.csv")
+        m = run_episode(make_env(cfg), RulePolicy(cfg), train_episode_seed(5, 0))
+        assert rows[0][2:6] == [fmt9(m.total), str(m.length), str(int(m.collided)), str(int(m.off_road))]
+
+
 class TestRunEval:
     def test_rules_agent_needs_no_checkpoint(self, tmp_path):
         cfg = parse_config(SMALL_RANDOM.replace("agent = random", "agent = rules"))
@@ -333,6 +345,17 @@ class TestCli:
         config_path = tmp_path / "dense.ini"
         config_path.write_text(SMALL_RANDOM + "\n[env]\nn_traffic = 100\n")
         assert main(["train", "--config", str(config_path), "--out", str(tmp_path / "runs")]) == EXIT_CONFIG
+
+    def test_rollout_negative_seed_is_usage_error(self, tmp_path, capsys):
+        config_path = tmp_path / "cfg.ini"
+        config_path.write_text(SMALL_RANDOM)
+        out = tmp_path / "t.csv"
+        with pytest.raises(SystemExit) as exit_info:
+            main(["rollout", "--config", str(config_path), "--seed", "-1", "--out", str(out)])
+        assert exit_info.value.code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "usage:" in err and "expected a non-negative integer, got '-1'" in err
+        assert not out.exists()
 
     def test_missing_checkpoint_exit_code(self, tmp_path):
         config_path = tmp_path / "cfg.ini"

@@ -248,6 +248,55 @@ class TestPpoObjective:
         assert stats["clip_fraction"] == float(np.mean(clipped < unclipped))
         assert np.array_equal(grad, backward(spec, params, obs, g_logits))
 
+    @pytest.mark.parametrize("side", [1.0, -1.0])
+    def test_ratios_at_clip_boundary_match_separate_formulas(self, side):
+        # epsilon is read off one computed ratio, so that ratio and its
+        # duplicates sit exactly at 1 + epsilon (side 1) or 1 - epsilon
+        # (side -1), with positive, negative and zero advantages on them.
+        rng = np.random.default_rng(17)
+        spec = NetworkSpec((5, 9, 4))
+        params = init_params(spec, 8)
+        obs, actions, old, advantages = objective_inputs(rng, spec, n=64)
+        ratios = np.exp(log_softmax(forward(spec, params, obs))[np.arange(64), actions] - old)
+        k = int(np.argmax((side * (ratios - 1.0) > 0) & (np.abs(ratios - 1.0) < 0.5)))
+        assert side * (ratios[k] - 1.0) > 0 and abs(ratios[k] - 1.0) < 0.5
+        obs = np.concatenate([obs, np.repeat(obs[k : k + 1], 3, axis=0)])
+        actions = np.concatenate([actions, np.repeat(actions[k], 3)])
+        old = np.concatenate([old, np.repeat(old[k], 3)])
+        advantages = np.concatenate([advantages, [1.0, -1.0, 0.0]])
+        ratios = np.exp(log_softmax(forward(spec, params, obs))[np.arange(67), actions] - old)
+        eps = side * (ratios[k] - 1.0)
+        assert np.sum(ratios == 1.0 + side * eps) >= 4
+        got = ppo_objective(spec, params, obs, actions, old, advantages, eps, 0.01)
+        want = objective_reference(spec, params, obs, actions, old, advantages, eps, 0.01)
+        assert got[0] == want[0]
+        assert np.array_equal(got[1], want[1])
+        assert got[2] == want[2]
+
+
+def objective_reference(spec, params, obs, actions, old, advantages, eps, entropy_coef):
+    """The objective, gradient and stats from the separate clipped and
+    unclipped branches: active where unclipped <= clipped, clipped where
+    clipped < unclipped."""
+    n = len(obs)
+    rows = np.arange(n)
+    logp_all = log_softmax(forward(spec, params, obs))
+    ratios = np.exp(logp_all[rows, actions] - old)
+    unclipped = ratios * advantages
+    clipped = np.clip(ratios, 1.0 - eps, 1.0 + eps) * advantages
+    probs = np.exp(logp_all)
+    entropies = -(probs * logp_all).sum(axis=1)
+    objective = float(np.minimum(unclipped, clipped).mean() + entropy_coef * entropies.mean())
+    coef = np.where(unclipped <= clipped, unclipped, 0.0) / n
+    g_logits = coef[:, None] * (-probs)
+    g_logits[rows, actions] += coef
+    g_logits += (entropy_coef / n) * (-probs * (logp_all + entropies[:, None]))
+    stats = {
+        "clip_fraction": float(np.mean(clipped < unclipped)),
+        "entropy": float(entropies.mean()),
+    }
+    return objective, backward(spec, params, obs, g_logits), stats
+
 
 class TestValueLoss:
     def test_zero_at_fit(self):
@@ -384,10 +433,10 @@ class ThreeForwardCollector(RolloutCollector):
             "terminated": np.zeros(length, dtype=bool),
             "episode_end": np.zeros(length, dtype=bool),
         }
-        if self._obs is None:
-            self._reset()
+        if self.obs is None:
+            self.reset()
         for t in range(length):
-            obs = self._obs
+            obs = self.obs
             logp = log_softmax(forward(policy_spec, policy_params, obs))
             action = int(rng.choice(logp.size, p=np.exp(logp)))
             outcome = self.env.step(action)
@@ -401,11 +450,43 @@ class ThreeForwardCollector(RolloutCollector):
             fields["episode_end"][t] = outcome.terminated or outcome.truncated
             if fields["episode_end"][t]:
                 self.episode_index += 1
-                self._reset()
+                self.reset()
             else:
-                self._obs = outcome.observation
+                self.obs = outcome.observation
         fields["episode_end"][-1] = True
         return RolloutBatch(**fields)
+
+
+def diverged_learner():
+    """A PPO learner whose policy weights are scaled by 1e150: its logits
+    overflow and its action probabilities are NaN."""
+    learner = PpoLearner(25, 5, seed=9)
+    learner.policy_params = ParameterSet(learner.policy_params.values * 1e150)
+    obs = HighwayEnv(road=RoadConfig(scenario="merge")).reset(4)
+    with np.errstate(all="ignore"):
+        assert np.isnan(np.exp(log_softmax(forward(learner.policy_spec, learner.policy_params, obs)))).any()
+    return learner
+
+
+class TestDivergedPolicy:
+    def test_collect_raises_divergence(self):
+        learner = diverged_learner()
+        collector = RolloutCollector(HighwayEnv(road=RoadConfig(scenario="merge")), lambda i: i)
+        with np.errstate(all="ignore"), pytest.raises(TrainingDivergenceError):
+            collector.collect(
+                learner.policy_spec,
+                learner.policy_params,
+                learner.value_spec,
+                learner.value_params,
+                8,
+                np.random.default_rng(0),
+            )
+
+    def test_act_raises_divergence(self):
+        learner = diverged_learner()
+        obs = HighwayEnv(road=RoadConfig(scenario="merge")).reset(4)
+        with np.errstate(all="ignore"), pytest.raises(TrainingDivergenceError):
+            learner.act(obs)
 
 
 class TestRolloutCollection:
