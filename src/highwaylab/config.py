@@ -224,10 +224,6 @@ class _SectionView:
         except ValueError as exc:
             raise ConfigError(f"{self._origin}:{lineno}: bad value for {key!r}: {exc}") from exc
 
-    def line_of(self, key: str) -> int | None:
-        entry = self._raw.get(key)
-        return entry[1] if entry else None
-
     def build(self, cls):
         """``cls`` from the keys named like its fields, with invariant errors blamed."""
         try:

@@ -9,29 +9,23 @@ Q(s, a), with gradient flowing through Q(s, a) only.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .actions import N_ACTIONS
-from .errors import CheckpointMismatchError, TrainingDivergenceError
+from .errors import TrainingDivergenceError
 from .nets import (
     AdamState,
     NetworkSpec,
     ParameterSet,
-    adam_for_network,
     adam_step,
-    adam_to_bytes,
     backward,
     forward,
     forward_activations,
     init_params,
-    network_from_bytes,
-    network_to_bytes,
-    read_agent_checkpoint,
-    write_archive,
+    load_agent,
+    save_agent,
 )
 
 
@@ -91,18 +85,6 @@ class TransitionBatch:
 
     def __len__(self) -> int:
         return int(self.obs.shape[0])
-
-    @classmethod
-    def from_transitions(cls, transitions: Sequence[Transition]) -> "TransitionBatch":
-        return cls(
-            obs=np.stack([np.asarray(t.s, dtype=np.float64) for t in transitions]),
-            actions=np.array([t.a for t in transitions], dtype=np.int64),
-            rewards=np.array([t.r for t in transitions], dtype=np.float64),
-            next_obs=np.stack(
-                [np.asarray(t.s_next, dtype=np.float64) for t in transitions]
-            ),
-            done=np.array([t.done for t in transitions], dtype=bool),
-        )
 
 
 class ReplayBuffer:
@@ -265,23 +247,15 @@ class DqnLearner:
             "buffer_size": len(self.buffer),
         }
 
-    # -- checkpointing -------------------------------------------------------
+    # -- checkpointing: the archive layout, written and checked by nets ---------
+
+    AGENT = "dqn"
+    NETWORKS = {"q": ("spec", "params"), "q_target": ("spec", "target_params")}
+    OPTIMIZERS = {"adam": ("spec", "adam")}
+    COUNTERS = ("env_steps", "grad_steps")
 
     def save(self, path) -> None:
-        meta = {
-            "agent": "dqn",
-            "obs_dim": self.obs_dim,
-            "n_actions": self.n_actions,
-            "env_steps": self.env_steps,
-            "grad_steps": self.grad_steps,
-        }
-        sections = [
-            ("meta", json.dumps(meta, sort_keys=True).encode("utf-8")),
-            ("q", network_to_bytes(self.spec, self.params)),
-            ("q_target", network_to_bytes(self.spec, self.target_params)),
-            ("adam", adam_to_bytes(self.adam)),
-        ]
-        write_archive(path, sections)
+        save_agent(self, path)
 
     @classmethod
     def load(cls, path, config: DqnConfig | None = None, seed: int = 0) -> "DqnLearner":
@@ -290,26 +264,4 @@ class DqnLearner:
         Replay contents are not checkpointed; a resumed learner starts with
         an empty buffer.
         """
-        counters, (q, q_target, adam) = read_agent_checkpoint(
-            path, "dqn", ("q", "q_target", "adam"), ("env_steps", "grad_steps")
-        )
-        spec, params = network_from_bytes(q)
-        target_spec, target_params = network_from_bytes(q_target)
-        if target_spec != spec:
-            raise CheckpointMismatchError("online and target network shapes differ")
-        learner = cls(
-            obs_dim=spec.input_dim,
-            n_actions=spec.output_dim,
-            config=config,
-            seed=seed,
-        )
-        if learner.spec != spec:
-            raise CheckpointMismatchError(
-                f"config expects network {learner.spec}, checkpoint has {spec}"
-            )
-        learner.params = params
-        learner.target_params = target_params
-        learner.adam = adam_for_network(adam, spec, "adam")
-        learner.env_steps = counters["env_steps"]
-        learner.grad_steps = counters["grad_steps"]
-        return learner
+        return load_agent(cls, path, config, seed)

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -144,9 +144,6 @@ class VehicleState:
     width: float = VEHICLE_WIDTH
     crashed: bool = False
     target_speed: float = EGO_SPAWN_SPEED  # tracked when no leader constrains
-
-    def copy(self) -> "VehicleState":
-        return replace(self)
 
 
 @dataclass(frozen=True)

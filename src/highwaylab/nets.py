@@ -442,17 +442,20 @@ def network_from_bytes(data: bytes) -> tuple[NetworkSpec, ParameterSet]:
     raw = r.take(count * 8)
     _check_crc(data, r, "network checkpoint")
     r.expect_end("checksum")
-    spec = NetworkSpec(sizes, _ACTIVATION_NAMES[act_code])
-    if count != spec.n_params:
-        raise CheckpointFormatError(
-            f"network checkpoint: {count} parameters but spec needs {spec.n_params}"
-        )
-    values = np.frombuffer(raw, dtype="<f8").astype(np.float64)
-    return spec, ParameterSet(values, version=version)
+    try:
+        spec = NetworkSpec(sizes, _ACTIVATION_NAMES[act_code])
+        if count != spec.n_params:
+            raise CheckpointFormatError(
+                f"network checkpoint: {count} parameters but spec needs {spec.n_params}"
+            )
+        values = np.frombuffer(raw, dtype="<f8").astype(np.float64)
+        return spec, ParameterSet(values, version=version)
+    except ValueError as exc:  # a layer size of 0 or a non-finite parameter
+        raise CheckpointFormatError(f"network checkpoint: {exc}") from None
 
 
 def _replace_file(path, data: bytes) -> None:
-    """Write data to a temporary file beside path, then rename it over path.
+    """Write data to a temporary file beside path, then rename it over path, without fsync.
 
     A failed write leaves the previous file intact and no temporary behind.
     """
@@ -523,41 +526,6 @@ def read_archive(path) -> dict[str, bytes]:
     return sections
 
 
-def read_agent_checkpoint(
-    path, agent: str, section_names: tuple[str, ...], counter_names: tuple[str, ...]
-) -> tuple[dict[str, int], list[bytes]]:
-    """Read an agent's checkpoint archive: integer counters from its JSON
-    ``meta`` section, and the payloads of the named sections in order.
-
-    Raises CheckpointMismatchError when the meta section is missing or names
-    another agent, and CheckpointFormatError when the meta is not a UTF-8
-    JSON object with every counter, or a named section is missing.
-    """
-    sections = read_archive(path)
-    if "meta" not in sections:
-        raise CheckpointMismatchError("checkpoint has no meta section")
-    try:
-        meta = json.loads(sections["meta"].decode("utf-8"))
-    except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError
-        raise CheckpointFormatError(f"checkpoint meta is not UTF-8 JSON: {exc}") from None
-    if not isinstance(meta, dict):
-        raise CheckpointFormatError("checkpoint meta is not a JSON object")
-    if meta.get("agent") != agent:
-        raise CheckpointMismatchError(
-            f"expected a {agent} checkpoint, found {meta.get('agent')!r}"
-        )
-    missing = [name for name in section_names if name not in sections]
-    if missing:
-        raise CheckpointFormatError(f"checkpoint has no {', '.join(missing)} section")
-    try:
-        counters = {name: int(meta[name]) for name in counter_names}
-    except (KeyError, TypeError, ValueError):
-        raise CheckpointFormatError(
-            f"checkpoint meta needs integer {', '.join(counter_names)}"
-        ) from None
-    return counters, [sections[name] for name in section_names]
-
-
 def adam_to_bytes(state: AdamState) -> bytes:
     head = struct.pack(
         "<QddddQ",
@@ -571,22 +539,92 @@ def adam_to_bytes(state: AdamState) -> bytes:
     return head + state.m.astype("<f8").tobytes() + state.v.astype("<f8").tobytes()
 
 
-def adam_for_network(data: bytes, spec: NetworkSpec, section: str) -> AdamState:
-    """Decode the optimizer section of a checkpoint that updates a network
-    of shape `spec`; CheckpointMismatchError when its size differs."""
-    state = adam_from_bytes(data)
-    if state.m.size != spec.n_params:
-        raise CheckpointMismatchError(
-            f"{section} section holds {state.m.size} optimizer entries, "
-            f"its network has {spec.n_params} parameters"
-        )
-    return state
-
-
 def adam_from_bytes(data: bytes) -> AdamState:
     r = _Reader(data, "optimizer state")
     t, lr, beta1, beta2, eps, n = r.unpack("<QddddQ")
     m = np.frombuffer(r.take(n * 8), dtype="<f8").astype(np.float64)
     v = np.frombuffer(r.take(n * 8), dtype="<f8").astype(np.float64)
     r.expect_end("second moments")
+    # Out-of-range values would make the next adam_step write non-finite parameters.
+    if not (0 < lr < math.inf and 0 <= beta1 < 1 and 0 <= beta2 < 1 and 0 < eps < math.inf):
+        raise CheckpointFormatError("optimizer state: hyperparameter out of range")
+    if not (np.all(np.isfinite(m)) and np.all((v >= 0) & (v < math.inf))):
+        raise CheckpointFormatError("optimizer state: non-finite or negative moments")
     return AdamState(m=m, v=v, t=int(t), learning_rate=lr, beta1=beta1, beta2=beta2, eps=eps)
+
+
+def save_agent(learner, path) -> None:
+    """Write ``learner`` as the HRLC archive its class declares.
+
+    The class names its ``AGENT`` kind, its ``NETWORKS`` and ``OPTIMIZERS``
+    as ``{section: (spec attribute, params or Adam attribute)}`` and its
+    integer ``COUNTERS``. The meta section holds the kind, the first
+    network's input and output widths as ``obs_dim`` and ``n_actions``, and
+    the counters; the networks and then the optimizers follow in order.
+    """
+    cls = type(learner)
+    spec = getattr(learner, next(iter(cls.NETWORKS.values()))[0])
+    meta = {"agent": cls.AGENT, "obs_dim": spec.input_dim, "n_actions": spec.output_dim}
+    meta.update((name, getattr(learner, name)) for name in cls.COUNTERS)
+    sections = [("meta", json.dumps(meta, sort_keys=True).encode("utf-8"))]
+    for name, (spec_attr, params_attr) in cls.NETWORKS.items():
+        sections.append(
+            (name, network_to_bytes(getattr(learner, spec_attr), getattr(learner, params_attr)))
+        )
+    for name, (_, adam_attr) in cls.OPTIMIZERS.items():
+        sections.append((name, adam_to_bytes(getattr(learner, adam_attr))))
+    write_archive(path, sections)
+
+
+def load_agent(cls, path, config, seed):
+    """Restore a learner written by `save_agent` into ``cls(obs_dim, n_actions, config, seed)``.
+
+    Raises CheckpointMismatchError when the archive holds another agent, a
+    network whose shape differs from the config-built learner's, or an
+    optimizer sized for another network; CheckpointFormatError when the meta
+    is not a UTF-8 JSON object with every counter a non-negative integer, or
+    a section is missing or malformed.
+    """
+    sections = read_archive(path)
+    if "meta" not in sections:
+        raise CheckpointMismatchError("checkpoint has no meta section")
+    try:
+        meta = json.loads(sections["meta"].decode("utf-8"))
+    except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError
+        raise CheckpointFormatError(f"checkpoint meta is not UTF-8 JSON: {exc}") from None
+    if not isinstance(meta, dict):
+        raise CheckpointFormatError("checkpoint meta is not a JSON object")
+    if meta.get("agent") != cls.AGENT:
+        raise CheckpointMismatchError(
+            f"expected a {cls.AGENT} checkpoint, found {meta.get('agent')!r}"
+        )
+    missing = [name for name in (*cls.NETWORKS, *cls.OPTIMIZERS) if name not in sections]
+    if missing:
+        raise CheckpointFormatError(f"checkpoint has no {', '.join(missing)} section")
+    if not all(type(meta.get(name)) is int and meta[name] >= 0 for name in cls.COUNTERS):
+        raise CheckpointFormatError(
+            f"checkpoint meta needs non-negative integer {', '.join(cls.COUNTERS)}"
+        )
+    networks = {name: network_from_bytes(sections[name]) for name in cls.NETWORKS}
+    spec, _ = next(iter(networks.values()))
+    learner = cls(spec.input_dim, spec.output_dim, config, seed)
+    for name, (spec_attr, params_attr) in cls.NETWORKS.items():
+        spec, params = networks[name]
+        if spec != getattr(learner, spec_attr):
+            raise CheckpointMismatchError(
+                f"{name} section holds network {spec}, "
+                f"the config expects {getattr(learner, spec_attr)}"
+            )
+        setattr(learner, params_attr, params)
+    for name, (spec_attr, adam_attr) in cls.OPTIMIZERS.items():
+        state = adam_from_bytes(sections[name])
+        n_params = getattr(learner, spec_attr).n_params
+        if state.m.size != n_params:
+            raise CheckpointMismatchError(
+                f"{name} section holds {state.m.size} optimizer entries, "
+                f"its network has {n_params} parameters"
+            )
+        setattr(learner, adam_attr, state)
+    for name in cls.COUNTERS:
+        setattr(learner, name, meta[name])
+    return learner

@@ -17,7 +17,6 @@ squared error against the frozen targets.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Callable
 
@@ -25,24 +24,20 @@ import numpy as np
 
 from .actions import N_ACTIONS
 from .episodes import EpisodeDriver
-from .errors import CheckpointMismatchError, TrainingDivergenceError
+from .errors import TrainingDivergenceError
 from .nets import (
     AdamState,
     NetworkSpec,
     ParameterSet,
-    adam_for_network,
     adam_step,
-    adam_to_bytes,
     backward,
     forward,
     forward_activations,
     init_params,
+    load_agent,
     log_softmax,
-    network_from_bytes,
-    network_to_bytes,
-    read_agent_checkpoint,
+    save_agent,
     softmax,
-    write_archive,
 )
 
 
@@ -312,10 +307,8 @@ class PpoLearner:
         self.rollouts_done = 0
         self.env_steps = 0
 
-    def act(self, obs: np.ndarray, greedy: bool = False) -> int:
+    def act(self, obs: np.ndarray) -> int:
         logits = forward(self.policy_spec, self.policy_params, obs)
-        if greedy:
-            return int(np.argmax(logits))
         return _sample_action(self.action_rng, softmax(logits))
 
     def policy_probabilities(self, obs: np.ndarray) -> np.ndarray:
@@ -374,47 +367,22 @@ class PpoLearner:
         self.env_steps += n
         return {key: value / max(n_minibatches, 1) for key, value in stats_acc.items()}
 
-    # -- checkpointing -------------------------------------------------------
+    # -- checkpointing: the archive layout, written and checked by nets ---------
+
+    AGENT = "ppo"
+    NETWORKS = {
+        "policy": ("policy_spec", "policy_params"),
+        "value": ("value_spec", "value_params"),
+    }
+    OPTIMIZERS = {
+        "adam_policy": ("policy_spec", "policy_adam"),
+        "adam_value": ("value_spec", "value_adam"),
+    }
+    COUNTERS = ("rollouts_done", "env_steps")
 
     def save(self, path) -> None:
-        meta = {
-            "agent": "ppo",
-            "obs_dim": self.obs_dim,
-            "n_actions": self.n_actions,
-            "rollouts_done": self.rollouts_done,
-            "env_steps": self.env_steps,
-        }
-        sections = [
-            ("meta", json.dumps(meta, sort_keys=True).encode("utf-8")),
-            ("policy", network_to_bytes(self.policy_spec, self.policy_params)),
-            ("value", network_to_bytes(self.value_spec, self.value_params)),
-            ("adam_policy", adam_to_bytes(self.policy_adam)),
-            ("adam_value", adam_to_bytes(self.value_adam)),
-        ]
-        write_archive(path, sections)
+        save_agent(self, path)
 
     @classmethod
     def load(cls, path, config: PpoConfig | None = None, seed: int = 0) -> "PpoLearner":
-        counters, (policy, value, adam_policy, adam_value) = read_agent_checkpoint(
-            path,
-            "ppo",
-            ("policy", "value", "adam_policy", "adam_value"),
-            ("rollouts_done", "env_steps"),
-        )
-        policy_spec, policy_params = network_from_bytes(policy)
-        value_spec, value_params = network_from_bytes(value)
-        learner = cls(
-            obs_dim=policy_spec.input_dim,
-            n_actions=policy_spec.output_dim,
-            config=config,
-            seed=seed,
-        )
-        if learner.policy_spec != policy_spec or learner.value_spec != value_spec:
-            raise CheckpointMismatchError("checkpoint network shapes differ from config")
-        learner.policy_params = policy_params
-        learner.value_params = value_params
-        learner.policy_adam = adam_for_network(adam_policy, policy_spec, "adam_policy")
-        learner.value_adam = adam_for_network(adam_value, value_spec, "adam_value")
-        learner.rollouts_done = counters["rollouts_done"]
-        learner.env_steps = counters["env_steps"]
-        return learner
+        return load_agent(cls, path, config, seed)

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from highwaylab.config import parse_config
-from highwaylab.harness import run_train
+from highwaylab.harness import build_eval_policy, run_train
 
 TRACING_PATH = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
@@ -81,6 +81,10 @@ eval_episodes = 2
 # env.reset and env.step counts of these runs, measured on the per-path
 # loops that the episode driver replaced.
 MEASURED = {"dqn": (8, 280), "ppo": (9, 288), "rules": (8, 280)}
+# nets.write_archive and nets.read_archive counts of these runs and one load
+# of the final checkpoint, measured when each learner wrote and read its own
+# archive: the checkpoint codec in nets must still go through those names.
+ARCHIVES = {"dqn": (3, 1), "ppo": (2, 1), "rules": (0, 0)}
 
 
 def traced_counts(config, out_dir) -> Counter:
@@ -88,6 +92,8 @@ def traced_counts(config, out_dir) -> Counter:
     tracer.install()
     try:
         run_train(config, out_dir)
+        if config.agent in ("dqn", "ppo"):
+            build_eval_policy(config, out_dir / "seed_3" / "checkpoint_final.bin")
     finally:
         tracer.uninstall()
     return Counter(tracer.names[i] for i in tracer.name_id)
@@ -113,3 +119,4 @@ def test_traced_call_counts(tmp_path, agent):
     # episode (the last step's included) and one starts each eval episode.
     assert counts["env.reset"] == 1 + episodes + evals * config.eval_episodes
     assert (counts["env.reset"], counts["env.step"]) == MEASURED[agent]
+    assert (counts["nets.write_archive"], counts["nets.read_archive"]) == ARCHIVES[agent]

@@ -1,7 +1,10 @@
 """Harness tests: file schemas, byte determinism, cross-file consistency."""
 
+import hashlib
 import json
 import math
+import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -28,7 +31,17 @@ from highwaylab.harness import (
     run_train,
     train_episode_seed,
 )
-from highwaylab.nets import AdamState, adam_to_bytes, read_archive, write_archive
+from highwaylab.nets import (
+    AdamState,
+    NetworkSpec,
+    adam_to_bytes,
+    init_params,
+    load_params,
+    network_to_bytes,
+    read_archive,
+    save_params,
+    write_archive,
+)
 from highwaylab.ppo import PpoConfig, PpoLearner
 
 SMALL_RANDOM = """
@@ -461,3 +474,176 @@ class TestCorruptCheckpoint:
         path = self.saved(tmp_path, "dqn", lambda s: s.update(meta=b"not json"))
         args = ["eval", "--config", str(config_path), "--checkpoint", str(path)]
         assert main(args + ["--out", str(tmp_path / "ev")]) == EXIT_IO
+
+    @pytest.mark.parametrize(
+        "agent, digest",
+        [
+            ("dqn", "29c8c8183338d4d3ba95481eb593dafb41df3d0e15a826d6c7a7df65677b8169"),
+            ("ppo", "c3e91fef9a3c4efba58a5c4e73f5a849441b14a1cdfe38a9106411e10d4731a3"),
+        ],
+    )
+    def test_saved_bytes_are_pinned(self, tmp_path, agent, digest):
+        learner_cls, cfg = self.AGENTS[agent]
+        path = tmp_path / f"{agent}.bin"
+        learner_cls(4, 3, cfg, seed=0).save(path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+        self.load(path, agent).save(tmp_path / "again.bin")
+        assert (tmp_path / "again.bin").read_bytes() == path.read_bytes()
+
+    @pytest.mark.parametrize(
+        "agent, section, other",
+        [
+            ("dqn", "q", DqnConfig(hidden_sizes=(5,))),
+            ("ppo", "policy", PpoConfig(rollout_length=4, minibatch_size=4, hidden_sizes=(5,))),
+        ],
+    )
+    def test_config_with_other_hidden_sizes(self, tmp_path, agent, section, other):
+        path = self.saved(tmp_path, agent, lambda s: None)
+        with pytest.raises(CheckpointMismatchError, match=f"^{section} section holds network"):
+            self.AGENTS[agent][0].load(path, other)
+
+    @pytest.mark.parametrize(
+        "agent, section, sizes", [("dqn", "q_target", (4, 5, 3)), ("ppo", "value", (4, 5, 1))]
+    )
+    def test_network_section_with_other_shape(self, tmp_path, agent, section, sizes):
+        spec = NetworkSpec(sizes)
+        blob = network_to_bytes(spec, init_params(spec, 0))
+        path = self.saved(tmp_path, agent, lambda s: s.update({section: blob}))
+        with pytest.raises(CheckpointMismatchError, match=f"^{section} section holds network"):
+            self.load(path, agent)
+
+    @pytest.mark.parametrize("agent", ["dqn", "ppo"])
+    @pytest.mark.parametrize("value", [-1, float("inf"), float("nan"), 2.0, True])
+    def test_counter_not_a_non_negative_integer(self, tmp_path, agent, value):
+        def set_counter(sections):
+            meta = json.loads(sections["meta"])
+            meta["env_steps"] = value
+            sections["meta"] = json.dumps(meta).encode("utf-8")
+
+        path = self.saved(tmp_path, agent, set_counter)
+        with pytest.raises(CheckpointFormatError, match="non-negative integer"):
+            self.load(path, agent)
+
+    def test_cli_infinite_counter_exits_with_io_code(self, tmp_path, capsys):
+        def infinite_grad_steps(sections):
+            meta = json.loads(sections["meta"])
+            meta["grad_steps"] = float("inf")
+            sections["meta"] = json.dumps(meta).encode("utf-8")
+
+        config_path = tmp_path / "cfg.ini"
+        config_path.write_text(SMALL_DQN.replace("hidden_sizes = 16", "hidden_sizes = 4"))
+        path = self.saved(tmp_path, "dqn", infinite_grad_steps)
+        assert b'"grad_steps": Infinity' in read_archive(path)["meta"]
+        args = ["eval", "--config", str(config_path), "--checkpoint", str(path)]
+        assert main(args + ["--out", str(tmp_path / "ev")]) == EXIT_IO
+        assert "grad_steps" in capsys.readouterr().err
+
+    @staticmethod
+    def resealed(blob: bytes, offset: int, raw: bytes) -> bytes:
+        data = bytearray(blob)
+        data[offset : offset + len(raw)] = raw
+        data[-4:] = struct.pack("<I", zlib.crc32(bytes(data[:-4])))
+        return bytes(data)
+
+    @pytest.mark.parametrize(
+        "agent, section, offset, raw, message",
+        [
+            # HRLL header: magic, version, layer count, then the sizes (4, 4, 3).
+            ("dqn", "q", 16, struct.pack("<I", 0), "layer sizes must be >= 1"),
+            ("ppo", "value", 16, struct.pack("<I", 0), "layer sizes must be >= 1"),
+            # The first parameter follows the activation code and the count.
+            ("dqn", "q_target", 36, struct.pack("<d", math.nan), "must be finite"),
+            ("ppo", "policy", 36, struct.pack("<d", math.inf), "must be finite"),
+        ],
+        ids=["q-size-0", "value-size-0", "q_target-nan", "policy-inf"],
+    )
+    def test_network_section_out_of_range(self, tmp_path, agent, section, offset, raw, message):
+        edit = lambda s: s.update({section: self.resealed(s[section], offset, raw)})
+        path = self.saved(tmp_path, agent, edit)
+        with pytest.raises(CheckpointFormatError, match=message):
+            self.load(path, agent)
+
+    # Optimizer header "<QddddQ": t, learning_rate, beta1, beta2, eps, size;
+    # then the first and second moments.
+    @pytest.mark.parametrize(
+        "agent, section, offset, value",
+        [
+            ("dqn", "adam", 8, math.nan),
+            ("ppo", "adam_policy", 8, 0.0),
+            ("ppo", "adam_value", 16, 1.0),
+            ("dqn", "adam", 24, -0.5),
+            ("dqn", "adam", 32, math.inf),
+            ("ppo", "adam_value", 48, math.nan),
+            ("dqn", "adam", 48 + 8 * 35, -1.0),
+        ],
+    )
+    def test_optimizer_section_out_of_range(self, tmp_path, agent, section, offset, value):
+        def edit(sections):
+            data = bytearray(sections[section])
+            data[offset : offset + 8] = struct.pack("<d", value)
+            sections[section] = bytes(data)
+
+        path = self.saved(tmp_path, agent, edit)
+        with pytest.raises(CheckpointFormatError, match="optimizer state"):
+            self.load(path, agent)
+
+
+class TestCheckpointFuzz:
+    """Every truncation and re-sealed byte flip of a checkpoint gives a typed error or a load."""
+
+    FLIPS = 200
+    AGENTS = {
+        "dqn": (DqnLearner, DqnConfig(hidden_sizes=(2,))),
+        "ppo": (PpoLearner, PpoConfig(rollout_length=2, minibatch_size=2, hidden_sizes=(2,))),
+    }
+
+    @staticmethod
+    def network_spans(data: bytes) -> list[tuple[int, int]]:
+        """Offsets of the HRLL payloads inside an HRLC archive."""
+        spans, offset = [], 12
+        for _ in range(struct.unpack_from("<I", data, 8)[0]):
+            (name_len,) = struct.unpack_from("<H", data, offset)
+            (size,) = struct.unpack_from("<Q", data, offset + 2 + name_len)
+            start = offset + 10 + name_len
+            if data[start : start + 4] == b"HRLL":
+                spans.append((start, start + size))
+            offset = start + size
+        return spans
+
+    def cases(self, data: bytes, spans, rng):
+        for n in range(len(data)):
+            yield data[:n]
+        for _ in range(self.FLIPS):
+            flipped = bytearray(data)
+            at = int(rng.integers(len(data)))
+            flipped[at] ^= int(rng.integers(1, 256))
+            for start, end in spans:
+                if start <= at < end:
+                    flipped[end - 4 : end] = struct.pack("<I", zlib.crc32(flipped[start : end - 4]))
+            flipped[-4:] = struct.pack("<I", zlib.crc32(flipped[:-4]))  # the archive's CRC
+            yield bytes(flipped)
+
+    @pytest.mark.parametrize("kind", ["network", "dqn", "ppo"])
+    def test_only_checkpoint_errors(self, tmp_path, kind):
+        path = tmp_path / "ckpt.bin"
+        if kind == "network":
+            spec = NetworkSpec((3, 2, 2))
+            save_params(path, spec, init_params(spec, 0))
+            load = lambda: load_params(path)
+        else:
+            learner_cls, cfg = self.AGENTS[kind]
+            learner_cls(3, 2, cfg, seed=0).save(path)
+            load = lambda: learner_cls.load(path, cfg)
+        data = path.read_bytes()
+        spans = [(0, len(data))] if kind == "network" else self.network_spans(data)
+        rng = np.random.default_rng(9)
+        outcomes = {"loaded": 0, "rejected": 0}
+        for case in self.cases(data, spans, rng):
+            path.write_bytes(case)
+            try:
+                load()
+                outcomes["loaded"] += 1
+            except CheckpointError:
+                outcomes["rejected"] += 1
+        assert outcomes["rejected"] >= len(data)  # every truncation
+        assert outcomes["loaded"] > 0
