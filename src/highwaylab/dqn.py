@@ -62,6 +62,8 @@ class DqnConfig:
         if self.learn_start < 1:
             raise ValueError("learn_start must be >= 1")
         object.__setattr__(self, "hidden_sizes", tuple(int(h) for h in self.hidden_sizes))
+        if any(h < 1 for h in self.hidden_sizes):
+            raise ValueError("hidden_sizes must be >= 1")
 
 
 @dataclass(frozen=True)

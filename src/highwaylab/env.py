@@ -273,9 +273,7 @@ def _overlapping(
     return hit
 
 
-# How far accelerations alone can close a gap in k sub-steps: each of the two
-# speeds drifts by at most A_MAX * DT per sub-step.
-_ACCEL_CLOSING = [A_MAX * DT * DT * k * (k + 1) for k in range(SUBSTEPS + 1)]
+_SLEW = LATERAL_RATE * DT  # the most y moves in one sub-step
 
 
 def _certificate(
@@ -289,47 +287,97 @@ def _certificate(
     target_ys: Sequence[float],
     half: float,
     steps: int,
-) -> tuple[int, list[int] | None]:
-    """How many of the next `steps` (>= 1) sub-steps are proved to bring no
-    overlap and keep every leader, with the leader list; (0, None) if none.
+) -> tuple[int, list[int] | None, list[tuple[int, int, float]]]:
+    """Proof that the leaders hold and no boxes meet over the next sub-steps.
 
-    A kinetic-data-structure certificate (Basch, Guibas & Hershberger 1997)
-    on a state that `order` sorts by x. P1: every vehicle that can move sits
-    on its lane-target y. P2: distinct ys lie more than the widest vehicle
-    and half a lane apart, so lanes neither overlap nor lead each other. P3:
-    in each lane every x-adjacent pair's bumper clearance, less a margin,
-    exceeds |dv| * DT * k + A_MAX * DT^2 * k(k+1), a bound on how far it
-    closes in k sub-steps; a crashed vehicle's speed counts as 0 whatever it
-    stores, and clamping speeds into [0, V_LIMIT] only brings them closer.
-    Then each lane keeps its order and a leader is the next in its lane.
+    Returns (k, leaders, watch): of the next `steps` (>= 1) sub-steps, the
+    first k bring no overlap and keep every leader, as long as each watched
+    pair (j, i, need) keeps xs[i] - xs[j] > need; (0, None, []) when not even
+    the current leaders are proved. A kinetic-data-structure certificate
+    (Basch, Guibas & Hershberger 1997) on a state that `order` sorts by x.
+    P1: at most one vehicle that can move, the mover, is off its lane-target
+    y. P2: the other ys, the lanes, lie more than `apart` (the widest vehicle,
+    and at least half a lane) apart. The mover, its y replayed with the
+    kernel's slew, keeps until sub-step k the lanes within half a lane of it
+    (at most one, where it leads and follows) and within `apart` (whose x
+    order it joins). P3: each x-adjacent pair in a lane has a bumper
+    clearance above a margin, and a pair that may close it within `steps`,
+    by |dv| * DT * steps + A_MAX * DT^2 * steps(steps+1), is watched; a
+    crashed vehicle's speed counts as 0 whatever it stores, and clamping
+    speeds into [0, V_LIMIT] only brings them closer.
     """
-    for y, target_y, stopped in zip(ys, target_ys, crashed):
-        if y != target_y and not stopped:
-            return 0, None
-    lane_ys = sorted(set(ys))
+    movers = [] if ys == target_ys else [
+        i for i, y in enumerate(ys) if y != target_ys[i] and not crashed[i]
+    ]
+    if len(movers) > 1:
+        return 0, None, []
+    mover = movers[0] if movers else -1
+    lane_ys = sorted(set(ys if mover < 0 else ys[:mover] + ys[mover + 1 :]))
     apart = max(max(widths), half)
     for y, next_y in zip(lane_ys, lane_ys[1:]):
         if not next_y - y > apart:  # written so that NaN fails too
-            return 0, None
+            return 0, None, []
+    k = steps
+    if mover >= 0:
+
+        def bands(y):
+            return (
+                [lane for lane in lane_ys if -half < lane - y < half],
+                [lane for lane in lane_ys if -apart <= lane - y <= apart],
+            )
+
+        y, target_y = ys[mover], target_ys[mover]
+        leads_in, near = start = bands(y)
+        if len(leads_in) > 1:
+            return 0, None, []
+        for s in range(steps):
+            dy = target_y - y
+            y += -_SLEW if dy < -_SLEW else _SLEW if dy > _SLEW else dy
+            if bands(y) != start:
+                k = s
+                break
     # Far above the rounding of ten sub-steps, and no two dx can round alike.
     margin = 1e-6 + 1e-12 * max(xs[order[-1]], -xs[order[0]])
     leader = [-1] * len(order)
     behind: dict[float, int] = {}
-    k = steps
+    first: dict[float, int] = {}
+    pairs = []
     for i in order:
+        if i == mover:
+            seen = dict(behind)
+            continue
         y = ys[i]
         j = behind.get(y)
         behind[y] = i
         if j is None:
-            continue
-        leader[j] = i
-        clearance = xs[i] - xs[j] - 0.5 * (lengths[i] + lengths[j]) - margin
-        closing = abs((0.0 if crashed[i] else vs[i]) - (0.0 if crashed[j] else vs[j])) * DT
-        while not clearance > closing * k + _ACCEL_CLOSING[k]:
-            k -= 1
-            if not k:
-                return 0, None
-    return k, leader
+            first[y] = i
+        else:
+            leader[j] = i
+            pairs.append((j, i))
+    if mover >= 0:
+        for y in near:  # the mover joins the x order of each lane near it
+            j = seen.get(y, -1)
+            ahead = leader[j] if j >= 0 else first.get(y, -1)
+            pairs += [pair for pair in ((j, mover), (mover, ahead)) if min(pair) >= 0]
+            if y in leads_in:
+                leader[mover] = ahead
+                if j >= 0:
+                    leader[j] = mover
+    if any(crashed):
+        vs = [0.0 if stopped else v for v, stopped in zip(vs, crashed)]
+    span = DT * steps
+    # Accelerations alone move each speed by at most A_MAX * DT a sub-step.
+    reserve = A_MAX * DT * DT * steps * (steps + 1) + margin
+    watch = []
+    for j, i in pairs:
+        bumpers = 0.5 * (lengths[i] + lengths[j])
+        clearance = xs[i] - xs[j] - bumpers
+        dv = vs[i] - vs[j]
+        if not clearance > abs(dv) * span + reserve:
+            if not (clearance > margin and dv == dv):
+                return 0, None, []
+            watch.append((j, i, bumpers + margin))
+    return k, leader, watch
 
 
 def collision_check(vehicles: Sequence[VehicleState]) -> np.ndarray:
@@ -634,106 +682,116 @@ class HighwayEnv:
 
         State is read from the VehicleState objects into lists once, stepped
         there, and written back at the end. Returns the sum of |ego a| over
-        the sub-steps. A sub-step is one pass in x order that computes each
-        acceleration and integrates it: a leader is strictly ahead, so it
-        moves only after its followers have read it, as if every acceleration
-        came from one snapshot. Then overlaps fold into sticky crashes. The
-        sub-steps that `_certificate` covers skip the sort, the sweep and the
-        leader search; the one after them uses the proved leaders once more.
+        the sub-steps. Each window of sub-steps flattens the leaders that a
+        `_certificate` (or a leader search) gives into a plan in x order. A
+        sub-step is one pass over it that computes each acceleration and
+        integrates it: a leader is strictly ahead, so it moves only after its
+        followers have read it, as if every acceleration came from one
+        snapshot. The sub-step after the proved ones ends the window, and
+        overlaps then fold into sticky crashes.
         """
         ego = self._ego
         assert ego is not None
         vehicles = [ego, *self._traffic]
         n = len(vehicles)
-        xs = [v.x for v in vehicles]
-        ys = [v.y for v in vehicles]
-        vs = [v.v for v in vehicles]
-        accs = [v.a for v in vehicles]
+        lane_width = self.road.lane_width
+        target_ys = [v.lane_target * lane_width for v in vehicles]  # lane centres
         crashed = [v.crashed for v in vehicles]
+        xs = [v.x for v in vehicles]
+        # A moving vehicle on its lane centre keeps its y: the slew adds 0.0,
+        # which only turns -0.0 into 0.0, done here once.
+        ys = [v.y if v.crashed or v.y != y else y for v, y in zip(vehicles, target_ys)]
+        vs = [v.v for v in vehicles]
+        accs = [0.0 if v.crashed else v.a for v in vehicles]
         lengths = [v.length for v in vehicles]
         widths = [v.width for v in vehicles]
         target_speeds = [self._ego_target_speed] + [v.target_speed for v in self._traffic]
 
         road = self.road
-        half = 0.5 * road.lane_width
-        target_ys = [road.lane_center(v.lane_target) for v in vehicles]
+        half = 0.5 * lane_width
         ramp = road.ramp_lane
         ramp_end = road.merge_ramp_end_x
-        on_ramp = [ramp is not None and v.lane_target == ramp for v in vehicles]
+        on_ramp = [False] * n if ramp is None else [v.lane_target == ramp for v in vehicles]
         low, high = road.y_bounds
-        slew = LATERAL_RATE * DT
         c, m, l = self.ghr.c, self.ghr.m, self.ghr.l
-        queues = self._delay_queues if self._delay_substeps > 0 else None
+        queues = [None] * n if self._delay_substeps == 0 else [None, *self._delay_queues]
 
+        brake = -A_MAX
         off_road = self._off_road
         abs_accel_sum = 0.0
         order = _x_order(xs)
-        certified, leaders = _certificate(
-            order, xs, ys, vs, lengths, widths, crashed, target_ys, half, SUBSTEPS
-        )
-        for step in range(SUBSTEPS):
+        step = 0
+        while step < SUBSTEPS:
+            k, leaders, watch = _certificate(
+                order, xs, ys, vs, lengths, widths, crashed, target_ys, half, SUBSTEPS - step
+            )
             if leaders is None:
                 leaders = _leaders(order, xs, ys, half)
-            for i in order:
-                if crashed[i]:
-                    accs[i] = 0.0
-                    continue
-                v = vs[i]
-                x = xs[i]
-                if on_ramp[i] and x >= ramp_end:
-                    a = -A_MAX
-                else:
-                    j = leaders[i]
-                    if i == 0 or j < 0:  # the ego, or no leader: track the target speed
-                        a = K_P * (target_speeds[i] - v)
-                    else:  # the GHR law; a full brake when the bumpers meet
-                        gap = xs[j] - x - 0.5 * (lengths[j] + lengths[i])
-                        a = -A_MAX if gap <= 0.0 else c * v**m * (vs[j] - v) / gap**l
-                    a = -A_MAX if a < -A_MAX else A_MAX if a > A_MAX else a
-                    if i and queues is not None:
-                        queue = queues[i - 1]
-                        delayed = queue[0]
-                        queue.append(a)
-                        a = delayed
-                accs[i] = a
-                v += a * DT
-                v = 0.0 if v < 0.0 else V_LIMIT if v > V_LIMIT else v
-                vs[i] = v
-                xs[i] = x + v * DT
-                dy = target_ys[i] - ys[i]
-                ys[i] += -slew if dy < -slew else slew if dy > slew else dy
+            leaders[0] = -1  # the ego tracks its target speed whatever leads it
+            plan = [
+                (i, j, 0.5 * (lengths[j] + lengths[i]), target_speeds[i], on_ramp[i], queues[i])
+                for i, j in zip(order, map(leaders.__getitem__, order))
+                if not crashed[i]
+            ]
+            slewing = [] if ys == target_ys else [
+                (i, target_ys[i]) for i in order if ys[i] != target_ys[i] and not crashed[i]
+            ]
+            while True:
+                for i, j, bumpers, target_speed, ramp_i, queue in plan:
+                    v = vs[i]
+                    x = xs[i]
+                    if ramp_i and x >= ramp_end:
+                        a = brake
+                    else:
+                        if j < 0:  # no leader: track the target speed
+                            a = K_P * (target_speed - v)
+                        else:  # the GHR law; a full brake when the bumpers meet
+                            gap = xs[j] - x - bumpers
+                            # v**0.0 is 1.0 and c * 1.0 is c for every float.
+                            a = brake if gap <= 0.0 else (c * v**m if m else c) * (vs[j] - v) / gap**l
+                        a = brake if a < brake else A_MAX if a > A_MAX else a
+                        if queue:  # a reaction delay
+                            delayed = queue[0]
+                            queue.append(a)
+                            a = delayed
+                    accs[i] = a
+                    v += a * DT
+                    v = 0.0 if v < 0.0 else V_LIMIT if v > V_LIMIT else v
+                    vs[i] = v
+                    xs[i] = x + v * DT
+                for i, y in slewing:
+                    dy = y - ys[i]
+                    ys[i] += -_SLEW if dy < -_SLEW else _SLEW if dy > _SLEW else dy
+                step += 1
+                k -= 1
+                proved = k >= 0
+                for j, i, need in watch:
+                    if not xs[i] - xs[j] > need:
+                        proved = False
+                        break
+                if not proved:
+                    # Fold overlaps into sticky crashes. The x order found here
+                    # also serves the next window, since crashes move nothing.
+                    order = _x_order(xs)
+                    hit = _overlapping(order, xs, ys, lengths, widths)
+                    if any(hit):
+                        for i in range(n):
+                            if hit[i] and not crashed[i]:
+                                crashed[i] = True
+                                vs[i] = 0.0
+                                accs[i] = 0.0
+                if not off_road and not (low <= ys[0] <= high):
+                    off_road = True
+                abs_accel_sum += abs(accs[0])
+                if not proved or step == SUBSTEPS:
+                    break
 
-            if certified:
-                # Proved: no overlap to fold, and the leaders and each lane's
-                # x order still hold for the next sub-step.
-                certified -= 1
-            else:
-                # Fold overlaps into sticky crashes. The x order found here
-                # also serves the next sub-step, since crashes move nothing.
-                order = _x_order(xs)
-                hit = _overlapping(order, xs, ys, lengths, widths)
-                if any(hit):
-                    for i in range(n):
-                        if hit[i] and not crashed[i]:
-                            crashed[i] = True
-                            vs[i] = 0.0
-                            accs[i] = 0.0
-                if step < SUBSTEPS - 1:  # unproved: leaders None, searched next
-                    certified, leaders = _certificate(
-                        order, xs, ys, vs, lengths, widths, crashed, target_ys, half,
-                        SUBSTEPS - 1 - step,
-                    )
-
-            if not off_road and not (low <= ys[0] <= high):
-                off_road = True
-            abs_accel_sum += abs(accs[0])
-
-        for i, vehicle in enumerate(vehicles):
-            vehicle.x = xs[i]
-            vehicle.y = ys[i]
-            vehicle.v = vs[i]
-            vehicle.a = accs[i]
-            vehicle.crashed = crashed[i]
+        for vehicle, x, y, v, a, stopped in zip(vehicles, xs, ys, vs, accs, crashed):
+            vehicle.x = x
+            vehicle.y = y
+            vehicle.v = v
+            vehicle.a = a
+            vehicle.crashed = stopped
         self._off_road = off_road
         self._substeps += SUBSTEPS
         return abs_accel_sum

@@ -31,7 +31,7 @@ from .config import ExperimentConfig
 from .dqn import DqnLearner, Transition
 from .env import DECISION_PERIOD, OBS_DIM, HighwayEnv, StepOutcome
 from .episodes import EpisodeDriver, EpisodeStats
-from .errors import CheckpointError
+from .errors import CheckpointError, CheckpointMismatchError
 from .nets import NetworkSpec, ParameterSet, forward
 from .ppo import PpoLearner, RolloutCollector
 from .rules import RuleAgent
@@ -278,9 +278,16 @@ def build_eval_policy(config: ExperimentConfig, checkpoint: str | Path | None):
         raise CheckpointError(f"checkpoint not found: {path}")
     if config.agent == "dqn":
         learner = DqnLearner.load(path, config.dqn)
-        return GreedyPolicy(learner.spec, learner.params)
-    learner = PpoLearner.load(path, config.ppo)
-    return GreedyPolicy(learner.policy_spec, learner.policy_params)
+        spec, params = learner.spec, learner.params
+    else:
+        learner = PpoLearner.load(path, config.ppo)
+        spec, params = learner.policy_spec, learner.policy_params
+    if (spec.input_dim, spec.output_dim) != (OBS_DIM, N_ACTIONS):
+        raise CheckpointMismatchError(
+            f"checkpoint network maps {spec.input_dim} inputs to {spec.output_dim} "
+            f"outputs, the environment needs {OBS_DIM} to {N_ACTIONS}"
+        )
+    return GreedyPolicy(spec, params)
 
 
 # ---------------------------------------------------------------------------

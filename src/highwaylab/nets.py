@@ -238,7 +238,9 @@ def adam_step(
 
     The moments are updated in place: the state passed in is consumed, since
     the returned state shares its ``m`` and ``v`` arrays. ``params`` is left
-    untouched. A rejected gradient changes nothing.
+    untouched. A rejected gradient changes nothing. An update that overflows
+    raises TrainingDivergenceError after the moments have advanced, so the
+    state passed in is spent then too.
     """
     g = np.asarray(gradient, dtype=np.float64).ravel()
     if not g.shape == params.values.shape == state.m.shape == state.v.shape:
@@ -270,7 +272,11 @@ def adam_step(
     new_values += state.eps
     scratch /= new_values
     np.subtract(params.values, scratch, out=new_values)
-    return ParameterSet._adopt(new_values, params.version), replace(state, t=t)
+    try:
+        new_params = ParameterSet._adopt(new_values, params.version)
+    except ValueError:
+        raise TrainingDivergenceError("Adam update overflowed to non-finite parameters") from None
+    return new_params, replace(state, t=t)
 
 
 Probe = Callable[[np.ndarray], tuple[float, np.ndarray]]

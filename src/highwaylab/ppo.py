@@ -73,6 +73,8 @@ class PpoConfig:
         if self.entropy_coef < 0:
             raise ValueError("entropy_coef must be >= 0")
         object.__setattr__(self, "hidden_sizes", tuple(int(h) for h in self.hidden_sizes))
+        if any(h < 1 for h in self.hidden_sizes):
+            raise ValueError("hidden_sizes must be >= 1")
 
 
 @dataclass

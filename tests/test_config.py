@@ -1,9 +1,17 @@
 """Config parsing: defaults, overrides, and line-precise error reporting."""
 
+import random
+from pathlib import Path
+
 import pytest
 
-from highwaylab.config import describe_keys, load_config, parse_config
+from highwaylab.actions import N_ACTIONS
+from highwaylab.config import SCHEMA, describe_keys, load_config, parse_config
+from highwaylab.env import OBS_DIM
 from highwaylab.errors import ConfigError
+from highwaylab.nets import NetworkSpec
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 MINIMAL = """
 [experiment]
@@ -150,6 +158,62 @@ class TestLinePreciseErrors:
         text = "[experiment]\nagent = ppo\n\n[ppo]\nrollout_length = 100\n"
         with pytest.raises(ConfigError, match="divisible"):
             parse_config(text, origin="cfg")
+
+
+    @pytest.mark.parametrize("section", ["dqn", "ppo"])
+    @pytest.mark.parametrize("value", ["0", "8, -3"])
+    def test_non_positive_hidden_size_blames_key_line(self, section, value):
+        text = f"[experiment]\nagent = dqn\n\n[{section}]\nhidden_sizes = {value}\n"
+        with pytest.raises(ConfigError, match=r"cfg:5: hidden_sizes must be >= 1"):
+            parse_config(text, origin="cfg")
+
+
+# Replacement values for the fuzz test: numbers at and past the edges, words,
+# lists, and text that is no number at all.
+FUZZ_VALUES = [
+    "", "-1", "0", "1", "2", "-0", "0.5", "-2.5", "1e309", "-1e309", "nan", "inf", "1e308",
+    "1e-320", "abc", "1,2", ",", "1,,2", "3, -4", "8, 0", "0, 0", "9" * 30, "9" * 5000,
+    "True", "off", "0x10", "1_000", "\u0663", "\u00bd", "1 2", "=", "[x]", "merge", "ppo",
+    "rules", "random", "env", "\x00", "1e3", "-0.0",
+]  # fmt: skip
+
+
+def test_mutated_configs_parse_or_raise_config_error():
+    # Seeded key/value mutations of the shipped configs: a value replaced, a
+    # key of any section inserted (now and then under its own header), a line
+    # deleted or repeated. Each must parse into a config whose networks can
+    # be built, or raise ConfigError; nothing else.
+    rng = random.Random(0)
+    texts = [path.read_text() for path in sorted(CONFIGS.glob("*.ini"))]
+    keys = [(section, key) for section, entries in SCHEMA.items() for key in entries]
+    parsed = rejected = 0
+    for _ in range(3000):
+        lines = rng.choice(texts).splitlines()
+        for _ in range(rng.randint(1, 3)):
+            op = rng.random()
+            assignments = [i for i, line in enumerate(lines) if "=" in line and line[0] != "#"]
+            if op < 0.5 and assignments:
+                i = rng.choice(assignments)
+                lines[i] = f"{lines[i].partition('=')[0]}= {rng.choice(FUZZ_VALUES)}"
+            elif op < 0.8:
+                section, key = rng.choice(keys)
+                if rng.random() < 0.3:
+                    lines.append(f"[{section}]")
+                lines.insert(rng.randrange(len(lines) + 1), f"{key} = {rng.choice(FUZZ_VALUES)}")
+            elif op < 0.9:
+                del lines[rng.randrange(len(lines))]
+            else:
+                i = rng.randrange(len(lines))
+                lines.insert(i, lines[i])
+        try:
+            config = parse_config("\n".join(lines), origin="fuzz")
+        except ConfigError:
+            rejected += 1
+            continue
+        NetworkSpec((OBS_DIM, *config.dqn.hidden_sizes, N_ACTIONS))
+        NetworkSpec((OBS_DIM, *config.ppo.hidden_sizes, N_ACTIONS))
+        parsed += 1
+    assert parsed > 250 and rejected > 2000
 
 
 class TestHelp:

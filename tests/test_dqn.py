@@ -253,6 +253,22 @@ class TestLearner:
                 Transition(s, int(rng.integers(learner.n_actions)), float(rng.normal()), s, False)
             )
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_overflowing_step_is_divergence(self):
+        # A learning rate near the largest float makes a finite first Adam
+        # step overflow the parameters in most seeds.
+        rng = np.random.default_rng(3)
+        config = DqnConfig(hidden_sizes=(4,), learn_start=2, batch_size=2, learning_rate=1.7e308)
+        diverged = 0
+        for seed in range(10):
+            learner = DqnLearner(4, 3, config, seed=seed)
+            self.feed(learner, rng, 5)
+            try:
+                learner.train_step()
+            except TrainingDivergenceError:
+                diverged += 1
+        assert diverged >= 5
+
     def test_skipped_before_learn_start(self):
         learner = DqnLearner(4, 3, self.small_config(), seed=1)
         before = learner.params.values.copy()

@@ -389,6 +389,21 @@ class TestCli:
         )
 
 
+    @pytest.mark.parametrize("agent", ["dqn", "ppo"])
+    def test_checkpoint_of_other_widths_exit_code(self, tmp_path, capsys, agent):
+        # A 4-input, 3-action checkpoint whose hidden layer matches the
+        # config loads, but cannot drive the 25-input, 5-action environment.
+        config_path = tmp_path / "cfg.ini"
+        config_path.write_text(
+            (SMALL_DQN if agent == "dqn" else SMALL_PPO).replace("hidden_sizes = 16", "hidden_sizes = 4")
+        )
+        learner_cls, cfg = TestCorruptCheckpoint.AGENTS[agent]
+        learner_cls(4, 3, cfg, seed=0).save(tmp_path / "small.bin")
+        argv = ["eval", "--config", str(config_path), "--checkpoint", str(tmp_path / "small.bin")]
+        assert main([*argv, "--out", str(tmp_path / "ev")]) == EXIT_IO
+        assert "maps 4 inputs to 3 outputs, the environment needs 25 to 5" in capsys.readouterr().err
+
+
 class TestCorruptCheckpoint:
     """Archives with a valid CRC but bad contents fail with a typed error."""
 

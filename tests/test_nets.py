@@ -270,6 +270,17 @@ class TestAdam:
         with pytest.raises(TrainingDivergenceError):
             adam_step(state, params, np.array([1.0, np.inf, 0.0]))
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_overflowing_update_is_divergence(self):
+        # A finite gradient whose step runs the parameters past the largest
+        # float; the moments have advanced by then.
+        params = ParameterSet(np.array([-1e308, 0.0]))
+        state = AdamState.create(2, 1e308)
+        with pytest.raises(TrainingDivergenceError, match="overflowed"):
+            adam_step(state, params, np.array([1.0, 1.0]))
+        assert np.array_equal(state.m, np.full(2, 1.0 - state.beta1))
+        assert np.array_equal(params.values, [-1e308, 0.0])
+
     def test_descends_convex_quadratic(self):
         # loss(theta) = |theta - c|^2 with the minimum far enough away that
         # 100 steps keep strictly descending after a short burn-in.
