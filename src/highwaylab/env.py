@@ -698,8 +698,8 @@ class HighwayEnv:
         target_ys = [v.lane_target * lane_width for v in vehicles]  # lane centres
         crashed = [v.crashed for v in vehicles]
         xs = [v.x for v in vehicles]
-        # A moving vehicle on its lane centre keeps its y: the slew adds 0.0,
-        # which only turns -0.0 into 0.0, done here once.
+        # A vehicle that can move and sits on its lane centre is not slewed:
+        # the slew would add 0.0, which only turns -0.0 into 0.0, done here.
         ys = [v.y if v.crashed or v.y != y else y for v, y in zip(vehicles, target_ys)]
         vs = [v.v for v in vehicles]
         accs = [0.0 if v.crashed else v.a for v in vehicles]
