@@ -540,10 +540,11 @@ def _mid_lane(env):
 
 
 def _crashed_storing_speed(env):
-    # A crashed vehicle that still stores 25 m/s never moves: its follower,
-    # 12 m behind at 25 m/s with no reason to brake, hits it in the third
-    # sub-step. Far behind the ego and the spawned traffic.
-    env.add_traffic_vehicle(VehicleState(x=-488.0, y=0.0, v=25.0, crashed=True))
+    # A crashed vehicle that still stores 25 m/s and 3 m/s^2 never moves and
+    # reads a = 0 after a step: its follower, 12 m behind at 25 m/s with no
+    # reason to brake, hits it in the third sub-step. Far behind the ego and
+    # the spawned traffic.
+    env.add_traffic_vehicle(VehicleState(x=-488.0, y=0.0, v=25.0, a=3.0, crashed=True))
     _add(env, -500.0, 0.0, 25.0)
 
 
@@ -608,8 +609,10 @@ def _wide_mover_touching(env):
 
 def _traffic_at_negative_zero(env):
     # Lane 0's centre given as -0.0: the first sub-step's slew adds 0.0 and
-    # turns it into 0.0, as the reference does.
+    # turns it into 0.0, as the reference does, but not for a crashed vehicle,
+    # which is never slewed.
     env.add_traffic_vehicle(VehicleState(x=-480.0, y=-0.0, v=22.0, target_speed=22.0))
+    env.add_traffic_vehicle(VehicleState(x=-700.0, y=-0.0, v=0.0, crashed=True))
     env.ego.x = -500.0
     env.ego.y = 0.0
     env.ego.lane_target = 0
