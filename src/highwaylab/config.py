@@ -10,19 +10,21 @@ Files look like INI without interpolation:
     [env]
     lane_count = 3
 
-Every key is declared in ``SCHEMA`` below with its type, default, and help
-text. Unknown sections, unknown keys, duplicate keys, and type or invariant
-violations are hard errors reported with the offending file and line.
+Every key fills one field of a configuration dataclass, and that field
+declares the key's type, default and invariants. ``SCHEMA`` adds only the
+help text and reads the rest from the fields. Unknown sections, unknown keys,
+duplicate keys, and type or invariant violations are hard errors reported
+with the offending file and line.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 from typing import Any
 
 from .dqn import DqnConfig
-from .env import GhrParams, RoadConfig
+from .env import DEFAULT_HORIZON, DEFAULT_N_TRAFFIC, SCENARIO_HIGHWAY, GhrParams, RoadConfig
 from .errors import ConfigError
 from .ppo import PpoConfig
 from .reward import RewardParams, RewardWeights
@@ -63,99 +65,149 @@ _PARSERS = {
     "int_list": _parse_int_list,
 }
 
-# section -> key -> (type, default, help)
-SCHEMA: dict[str, dict[str, tuple[str, Any, str]]] = {
-    "experiment": {
-        "agent": ("str", None, f"decision agent, one of {', '.join(AGENTS)} (required)"),
-        "scenario": ("str", "highway", f"driving scenario, one of {', '.join(SCENARIOS)}"),
-        "seeds": ("int_list", (0,), "comma-separated seeds; train runs once per seed"),
-        "total_env_steps": ("int", 50_000, "environment steps per training run"),
-        "eval_every": ("int", 5_000, "run a deterministic evaluation every this many steps"),
-        "eval_episodes": ("int", 10, "episodes per evaluation"),
-        "dqn_checkpoint": ("str", "", "path to a trained dqn checkpoint (compare/eval)"),
-        "ppo_checkpoint": ("str", "", "path to a trained ppo checkpoint (compare/eval)"),
-    },
-    "env": {
-        "lane_count": ("int", 3, "number of lanes, including the merge ramp"),
-        "lane_width": ("float", 4.0, "lane width in meters"),
-        "road_length": ("float", 1000.0, "nominal road length in meters"),
-        "merge_ramp_end_x": ("float", 300.0, "where the ramp lane ends (merge only)"),
-        "n_traffic": ("int", 6, "number of traffic vehicles"),
-        "horizon_steps": ("int", 40, "decision steps before truncation"),
-        "ghr_c": ("float", 15.0, "car-following gain"),
-        "ghr_m": ("float", 0.0, "car-following speed exponent"),
-        "ghr_l": ("float", 2.0, "car-following spacing exponent"),
-        "ghr_tau": ("float", 0.0, "car-following reaction delay in seconds"),
-    },
-    "reward": {
-        "w_safety": ("float", 1.0, "weight of the safety term"),
-        "w_comfort": ("float", 0.3, "weight of the comfort term"),
-        "w_efficiency": ("float", 0.7, "weight of the efficiency term"),
-        "tau_safe": ("float", 1.5, "safe time headway in seconds"),
-        "a_max": ("float", 5.0, "acceleration scale in m/s^2"),
-        "kappa_lane_change": ("float", 0.1, "flat comfort cost per lane change"),
-        "v_min": ("float", 20.0, "speed of zero efficiency, m/s"),
-        "v_max": ("float", 30.0, "speed of full efficiency, m/s"),
-    },
-    "dqn": {
-        "gamma": ("float", 0.99, "discount factor"),
-        "learning_rate": ("float", 0.001, "Adam learning rate"),
-        "batch_size": ("int", 64, "replay minibatch size"),
-        "buffer_capacity": ("int", 50_000, "replay ring-buffer capacity"),
-        "target_sync_every": ("int", 1000, "steps between hard target syncs"),
-        "target_sync_unit": ("str", "gradient", "sync counter: 'gradient' or 'env'"),
-        "epsilon_start": ("float", 1.0, "initial exploration rate"),
-        "epsilon_end": ("float", 0.05, "final exploration rate"),
-        "epsilon_decay_steps": ("int", 10_000, "env steps of linear epsilon decay"),
-        "learn_start": ("int", 1000, "transitions required before learning"),
-        "hidden_sizes": ("int_list", (128, 128), "hidden layer widths"),
-    },
-    "ppo": {
-        "clip_epsilon": ("float", 0.2, "surrogate clipping half-width"),
-        "gae_lambda": ("float", 0.95, "advantage estimation decay"),
-        "gamma": ("float", 0.99, "discount factor"),
-        "rollout_length": ("int", 2048, "steps collected per update"),
-        "epochs": ("int", 10, "optimization epochs per rollout"),
-        "minibatch_size": ("int", 256, "minibatch size inside each epoch"),
-        "policy_lr": ("float", 0.0003, "policy Adam learning rate"),
-        "value_lr": ("float", 0.001, "value Adam learning rate"),
-        "entropy_coef": ("float", 0.01, "entropy bonus weight (0 disables)"),
-        "normalize_advantages": ("bool", True, "normalize advantages per rollout"),
-        "hidden_sizes": ("int_list", (128, 128), "hidden layer widths"),
-    },
-    "rules": {
-        "headway_change_trigger": ("float", 2.0, "headway (s) that triggers a change"),
-        "gap_accept_front": ("float", 15.0, "required front gap in the target lane, m"),
-        "gap_accept_rear": ("float", 10.0, "required rear gap in the target lane, m"),
-        "speed_advantage_min": ("float", 2.0, "required target-lane speed advantage, m/s"),
-    },
-}
-
 
 @dataclass(frozen=True)
 class EnvSettings:
     road: RoadConfig
     ghr: GhrParams
-    n_traffic: int
-    horizon: int
+    n_traffic: int = DEFAULT_N_TRAFFIC
+    horizon_steps: int = DEFAULT_HORIZON
+
+    def __post_init__(self) -> None:
+        if self.n_traffic < 0:
+            raise ValueError("n_traffic must be >= 0")
+        if self.horizon_steps < 1:
+            raise ValueError("horizon_steps must be >= 1")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ExperimentConfig:
     agent: str
-    scenario: str
-    seeds: tuple[int, ...]
-    total_env_steps: int
-    eval_every: int
-    eval_episodes: int
-    dqn_checkpoint: str
-    ppo_checkpoint: str
+    scenario: str = SCENARIO_HIGHWAY
+    seeds: tuple[int, ...] = (0,)
+    total_env_steps: int = 50_000
+    eval_every: int = 5_000
+    eval_episodes: int = 10
+    dqn_checkpoint: str = ""
+    ppo_checkpoint: str = ""
     env: EnvSettings
     weights: RewardWeights
     reward_params: RewardParams
     dqn: DqnConfig
     ppo: PpoConfig
     rules: RuleParams
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "agent", self.agent.lower())
+        if self.agent not in AGENTS:
+            raise ValueError(f"agent must be one of {AGENTS}, got {self.agent!r}")
+        if self.total_env_steps < 0:
+            raise ValueError("total_env_steps must be >= 0")
+        if self.eval_every < 1:
+            raise ValueError("eval_every must be >= 1")
+        if self.eval_episodes < 1:
+            raise ValueError("eval_episodes must be >= 1")
+        if any(s < 0 for s in self.seeds):
+            raise ValueError("seeds must be non-negative")
+
+
+# The dataclasses whose fields each section's keys fill; a key is its
+# field's name behind the prefix given here.
+_FILLS = {
+    "experiment": ((ExperimentConfig, ""),),
+    "env": ((RoadConfig, ""), (EnvSettings, ""), (GhrParams, "ghr_")),
+    "reward": ((RewardWeights, "w_"), (RewardParams, "")),
+    "dqn": ((DqnConfig, ""),),
+    "ppo": ((PpoConfig, ""),),
+    "rules": ((RuleParams, ""),),
+}
+
+# section -> key -> help text, in the order --help lists them
+_HELP: dict[str, dict[str, str]] = {
+    "experiment": {
+        "agent": f"decision agent, one of {', '.join(AGENTS)} (required)",
+        "scenario": f"driving scenario, one of {', '.join(SCENARIOS)}",
+        "seeds": "comma-separated seeds; train runs once per seed",
+        "total_env_steps": "environment steps per training run",
+        "eval_every": "run a deterministic evaluation every this many steps",
+        "eval_episodes": "episodes per evaluation",
+        "dqn_checkpoint": "path to a trained dqn checkpoint (compare/eval)",
+        "ppo_checkpoint": "path to a trained ppo checkpoint (compare/eval)",
+    },
+    "env": {
+        "lane_count": "number of lanes, including the merge ramp",
+        "lane_width": "lane width in meters",
+        "road_length": "nominal road length in meters",
+        "merge_ramp_end_x": "where the ramp lane ends (merge only)",
+        "n_traffic": "number of traffic vehicles",
+        "horizon_steps": "decision steps before truncation",
+        "ghr_c": "car-following gain",
+        "ghr_m": "car-following speed exponent",
+        "ghr_l": "car-following spacing exponent",
+        "ghr_tau": "car-following reaction delay in seconds",
+    },
+    "reward": {
+        "w_safety": "weight of the safety term",
+        "w_comfort": "weight of the comfort term",
+        "w_efficiency": "weight of the efficiency term",
+        "tau_safe": "safe time headway in seconds",
+        "a_max": "acceleration scale in m/s^2",
+        "kappa_lane_change": "flat comfort cost per lane change",
+        "v_min": "speed of zero efficiency, m/s",
+        "v_max": "speed of full efficiency, m/s",
+    },
+    "dqn": {
+        "gamma": "discount factor",
+        "learning_rate": "Adam learning rate",
+        "batch_size": "replay minibatch size",
+        "buffer_capacity": "replay ring-buffer capacity",
+        "target_sync_every": "steps between hard target syncs",
+        "target_sync_unit": "sync counter: 'gradient' or 'env'",
+        "epsilon_start": "initial exploration rate",
+        "epsilon_end": "final exploration rate",
+        "epsilon_decay_steps": "env steps of linear epsilon decay",
+        "learn_start": "transitions required before learning",
+        "hidden_sizes": "hidden layer widths",
+    },
+    "ppo": {
+        "clip_epsilon": "surrogate clipping half-width",
+        "gae_lambda": "advantage estimation decay",
+        "gamma": "discount factor",
+        "rollout_length": "steps collected per update",
+        "epochs": "optimization epochs per rollout",
+        "minibatch_size": "minibatch size inside each epoch",
+        "policy_lr": "policy Adam learning rate",
+        "value_lr": "value Adam learning rate",
+        "entropy_coef": "entropy bonus weight (0 disables)",
+        "normalize_advantages": "normalize advantages per rollout",
+        "hidden_sizes": "hidden layer widths",
+    },
+    "rules": {
+        "headway_change_trigger": "headway (s) that triggers a change",
+        "gap_accept_front": "required front gap in the target lane, m",
+        "gap_accept_rear": "required rear gap in the target lane, m",
+        "speed_advantage_min": "required target-lane speed advantage, m/s",
+    },
+}
+
+
+def _schema() -> dict[str, dict[str, tuple[str, Any, str]]]:
+    """Each key's type and default, read from the field the key fills."""
+    schema = {}
+    for section, keys in _HELP.items():
+        named = {prefix + f.name: f for cls, prefix in _FILLS[section] for f in fields(cls)}
+        schema[section] = {}
+        for key, help_text in keys.items():
+            field = named[key]
+            default = None if field.default is MISSING else field.default
+            # field.type is the annotation as a string: "int", "float", "bool", "str"
+            kind = "int_list" if field.type == "tuple[int, ...]" else field.type
+            schema[section][key] = (kind, default, help_text)
+    return schema
+
+
+# section -> key -> (type, default, help); a default of None marks a required key
+SCHEMA = _schema()
 
 
 def describe_keys() -> str:
@@ -224,12 +276,20 @@ class _SectionView:
         except ValueError as exc:
             raise ConfigError(f"{self._origin}:{lineno}: bad value for {key!r}: {exc}") from exc
 
-    def build(self, cls):
-        """``cls`` from the keys named like its fields, with invariant errors blamed."""
+    def build(self, cls, prefix: str = "", **given):
+        """``cls`` with each field not ``given`` read from the key ``prefix`` +
+        its name; an invariant error names the key and is blamed on its line."""
+        values = {
+            f.name: given[f.name] if f.name in given else self.get(prefix + f.name)
+            for f in fields(cls)
+        }
         try:
-            return cls(**{f.name: self.get(f.name) for f in fields(cls)})
+            return cls(**values)
         except ValueError as exc:
-            raise self.blame(str(exc)) from exc
+            message = str(exc)
+            if message.partition(" ")[0] in values:  # e.g. GhrParams says "tau", not "ghr_tau"
+                message = prefix + message
+            raise self.blame(message) from exc
 
     def blame(self, message: str) -> ConfigError:
         """Attach the most plausible line to an invariant failure message."""
@@ -241,85 +301,26 @@ class _SectionView:
 
 def parse_config(text: str, origin: str = "<config>") -> ExperimentConfig:
     raw = _parse_lines(text, origin)
-
     experiment = _SectionView(raw, "experiment", origin)
-    agent = experiment.get("agent").lower()
-    if agent not in AGENTS:
-        raise experiment.blame(f"agent must be one of {AGENTS}, got {agent!r}")
+    env = _SectionView(raw, "env", origin)
+    reward = _SectionView(raw, "reward", origin)
+    # The road needs the scenario: check it here so that its own line is blamed.
     scenario = experiment.get("scenario").lower()
     if scenario not in SCENARIOS:
         raise experiment.blame(f"scenario must be one of {SCENARIOS}, got {scenario!r}")
-    total_env_steps = experiment.get("total_env_steps")
-    if total_env_steps < 0:
-        raise experiment.blame("total_env_steps must be >= 0")
-    eval_every = experiment.get("eval_every")
-    eval_episodes = experiment.get("eval_episodes")
-    if eval_every < 1:
-        raise experiment.blame("eval_every must be >= 1")
-    if eval_episodes < 1:
-        raise experiment.blame("eval_episodes must be >= 1")
-
-    env_view = _SectionView(raw, "env", origin)
-    try:
-        road = RoadConfig(
-            lane_count=env_view.get("lane_count"),
-            lane_width=env_view.get("lane_width"),
-            road_length=env_view.get("road_length"),
-            scenario=scenario,
-            merge_ramp_end_x=env_view.get("merge_ramp_end_x"),
-        )
-    except ValueError as exc:
-        raise env_view.blame(str(exc)) from exc
-    try:
-        ghr = GhrParams(
-            c=env_view.get("ghr_c"),
-            m=env_view.get("ghr_m"),
-            l=env_view.get("ghr_l"),
-            tau=env_view.get("ghr_tau"),
-        )
-    except ValueError as exc:
-        # GhrParams names its fields c, m, l and tau; the keys add "ghr_".
-        raise env_view.blame(f"ghr_{exc}") from exc
-    n_traffic = env_view.get("n_traffic")
-    horizon = env_view.get("horizon_steps")
-    if n_traffic < 0:
-        raise env_view.blame("n_traffic must be >= 0")
-    if horizon < 1:
-        raise env_view.blame("horizon_steps must be >= 1")
-
-    reward_view = _SectionView(raw, "reward", origin)
-    try:
-        weights = RewardWeights(
-            safety=reward_view.get("w_safety"),
-            comfort=reward_view.get("w_comfort"),
-            efficiency=reward_view.get("w_efficiency"),
-        )
-    except ValueError as exc:
-        raise reward_view.blame(str(exc)) from exc
-    reward_params = reward_view.build(RewardParams)
-    dqn = _SectionView(raw, "dqn", origin).build(DqnConfig)
-    ppo = _SectionView(raw, "ppo", origin).build(PpoConfig)
-    rules = _SectionView(raw, "rules", origin).build(RuleParams)
-
-    seeds = experiment.get("seeds")
-    if any(s < 0 for s in seeds):
-        raise experiment.blame("seeds must be non-negative")
-
-    return ExperimentConfig(
-        agent=agent,
+    return experiment.build(
+        ExperimentConfig,
         scenario=scenario,
-        seeds=seeds,
-        total_env_steps=total_env_steps,
-        eval_every=eval_every,
-        eval_episodes=eval_episodes,
-        dqn_checkpoint=experiment.get("dqn_checkpoint"),
-        ppo_checkpoint=experiment.get("ppo_checkpoint"),
-        env=EnvSettings(road=road, ghr=ghr, n_traffic=n_traffic, horizon=horizon),
-        weights=weights,
-        reward_params=reward_params,
-        dqn=dqn,
-        ppo=ppo,
-        rules=rules,
+        env=env.build(
+            EnvSettings,
+            road=env.build(RoadConfig, scenario=scenario),
+            ghr=env.build(GhrParams, "ghr_"),
+        ),
+        weights=reward.build(RewardWeights, "w_"),
+        reward_params=reward.build(RewardParams),
+        dqn=_SectionView(raw, "dqn", origin).build(DqnConfig),
+        ppo=_SectionView(raw, "ppo", origin).build(PpoConfig),
+        rules=_SectionView(raw, "rules", origin).build(RuleParams),
     )
 
 

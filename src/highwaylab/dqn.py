@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .actions import N_ACTIONS
+from .env import OBS_DIM
 from .errors import TrainingDivergenceError
 from .nets import (
     AdamState,
@@ -21,12 +22,16 @@ from .nets import (
     ParameterSet,
     adam_step,
     backward,
+    check_hidden_sizes,
     forward,
     forward_activations,
     init_params,
     load_agent,
     save_agent,
 )
+
+
+MAX_BUFFER_CAPACITY = 1_000_000  # transitions; 417 bytes each at OBS_DIM 25
 
 
 @dataclass(frozen=True)
@@ -50,6 +55,8 @@ class DqnConfig:
             raise ValueError("learning_rate must be > 0")
         if self.batch_size < 1 or self.batch_size > self.buffer_capacity:
             raise ValueError("need 1 <= batch_size <= buffer_capacity")
+        if self.buffer_capacity > MAX_BUFFER_CAPACITY:
+            raise ValueError(f"buffer_capacity must be <= {MAX_BUFFER_CAPACITY}")
         if self.target_sync_every < 1:
             raise ValueError("target_sync_every must be >= 1")
         if self.target_sync_unit not in ("gradient", "env"):
@@ -61,9 +68,8 @@ class DqnConfig:
             raise ValueError("epsilon_decay_steps must be >= 1")
         if self.learn_start < 1:
             raise ValueError("learn_start must be >= 1")
-        object.__setattr__(self, "hidden_sizes", tuple(int(h) for h in self.hidden_sizes))
-        if any(h < 1 for h in self.hidden_sizes):
-            raise ValueError("hidden_sizes must be >= 1")
+        hidden = check_hidden_sizes(self.hidden_sizes, OBS_DIM, N_ACTIONS)
+        object.__setattr__(self, "hidden_sizes", hidden)
 
 
 @dataclass(frozen=True)

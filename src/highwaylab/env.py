@@ -59,9 +59,12 @@ TRAFFIC_SPAWN_X_LOW = 30.0
 TRAFFIC_SPAWN_X_HIGH = 200.0  # keeps first encounters early in the episode
 MIN_SPAWN_GAP = 15.0  # bumper-to-bumper, m
 VEHICLE_LENGTH = 5.0
+_MIN_SPAWN_CENTRE_DIST = MIN_SPAWN_GAP + VEHICLE_LENGTH
 VEHICLE_WIDTH = 2.0
 DEFAULT_N_TRAFFIC = 6
 DEFAULT_HORIZON = 40  # decision steps
+# Bounds GhrParams.tau / DT, the length of every traffic vehicle's delay queue.
+MAX_DELAY_SUBSTEPS = 1_000
 
 OBS_RANGE_X = 100.0  # m
 OBS_RANGE_Y = 12.0  # m
@@ -131,6 +134,8 @@ class GhrParams:
             raise ValueError("l must be >= 0")
         if self.tau < 0:
             raise ValueError("tau must be >= 0")
+        if self.tau / DT > MAX_DELAY_SUBSTEPS:
+            raise ValueError(f"tau must be <= {MAX_DELAY_SUBSTEPS * DT:g} s")
 
 
 @dataclass
@@ -554,13 +559,14 @@ class HighwayEnv:
 
         spawn_lanes = [l for l in range(self.road.lane_count) if l != ramp]
         x_high = min(TRAFFIC_SPAWN_X_HIGH, 0.5 * self.road.road_length)
+        half_lane = 0.5 * self.road.lane_width
         self._traffic = []
         for _ in range(self.n_traffic):
             for _attempt in range(1000):
                 lane = spawn_lanes[int(rng.integers(len(spawn_lanes)))]
                 x = float(rng.uniform(TRAFFIC_SPAWN_X_LOW, x_high))
                 y = self.road.lane_center(lane)
-                if self._spawn_fits(x, y):
+                if self._spawn_fits(x, y, half_lane):
                     break
             else:
                 raise ConfigError(
@@ -568,7 +574,7 @@ class HighwayEnv:
                     f"overlap: traffic spawns in {len(spawn_lanes)} of "
                     f"{self.road.lane_count} lanes, x in "
                     f"[{TRAFFIC_SPAWN_X_LOW:g}, {x_high:g}] m, centres at least "
-                    f"{MIN_SPAWN_GAP + VEHICLE_LENGTH:g} m apart in a lane"
+                    f"{_MIN_SPAWN_CENTRE_DIST:g} m apart in a lane"
                 )
             v = float(rng.uniform(TRAFFIC_SPEED_LOW, TRAFFIC_SPEED_HIGH))
             self._traffic.append(
@@ -599,13 +605,13 @@ class HighwayEnv:
             deque([0.0] * self._delay_substeps, maxlen=max(self._delay_substeps, 1))
         )
 
-    def _spawn_fits(self, x: float, y: float) -> bool:
-        min_center_dist = MIN_SPAWN_GAP + VEHICLE_LENGTH
-        for other in [self._ego, *self._traffic]:
-            if other is None:
-                continue
-            same_lane = abs(other.y - y) < 0.5 * self.road.lane_width
-            if same_lane and abs(other.x - x) < min_center_dist:
+    def _spawn_fits(self, x: float, y: float, half_lane: float) -> bool:
+        """No vehicle placed yet, the ego included, is this close in both y and x."""
+        ego = self._ego
+        if abs(ego.y - y) < half_lane and abs(ego.x - x) < _MIN_SPAWN_CENTRE_DIST:
+            return False
+        for other in self._traffic:
+            if abs(other.y - y) < half_lane and abs(other.x - x) < _MIN_SPAWN_CENTRE_DIST:
                 return False
         return True
 

@@ -79,14 +79,8 @@ TRAJECTORY_CSV_COLUMNS = (
     "r_efficiency",
     "r_total",
 )
-COMPARE_CSV_COLUMNS = (
-    "agent",
-    "episodes",
-    "mean_return",
-    "std_return",
-    "collision_rate",
-    "mean_speed",
-)
+# comparison.csv has eval.csv's summary columns; _summary_row fills both
+COMPARE_CSV_COLUMNS = ("agent", "episodes", *EVAL_CSV_COLUMNS[2:])
 
 _TAG_TRAIN_EPISODE = 101
 _TAG_RANDOM_TRAIN = 202
@@ -121,9 +115,18 @@ def eval_episode_seed(seeds, index: int) -> int:
     return int(base) + _EVAL_SEED_STRIDE * (index // len(seeds))
 
 
+def _cell(value) -> str:
+    """A CSV cell: text as is, booleans as 0/1, integers exact, floats by fmt9."""
+    if isinstance(value, (bool, np.bool_)):
+        return str(int(value))
+    if isinstance(value, (str, int, np.integer)):
+        return str(value)  # a seed above 1e9 would lose digits in fmt9
+    return fmt9(value)
+
+
 def _write_csv(path: Path, columns, rows) -> None:
     lines = [",".join(columns)]
-    lines.extend(",".join(row) for row in rows)
+    lines.extend(",".join(map(_cell, row)) for row in rows)
     path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
@@ -171,7 +174,7 @@ class TrainRecorder:
     def __init__(self, window: int = 100):
         self.faults = FaultLog()
         self._window = deque(maxlen=window)
-        self.metric_rows: list[tuple[str, ...]] = []
+        self.metric_rows: list[tuple] = []
 
     def on_step(self, stats: EpisodeStats, outcome: StepOutcome, global_step: int) -> None:
         info = outcome.info
@@ -183,27 +186,23 @@ class TrainRecorder:
         window = list(self._window)
         self.metric_rows.append(
             (
-                str(len(self.metric_rows)),
-                str(global_step),
-                fmt9(ret),
-                str(stats.length),
-                str(int(stats.collided)),
-                str(int(stats.off_road)),
-                fmt9(float(np.mean(window))),
-                fmt9(_sample_std(window)),
-                str(self.faults.count),
-                fmt9(self.faults.duration_s),
+                len(self.metric_rows),
+                global_step,
+                ret,
+                stats.length,
+                stats.collided,
+                stats.off_road,
+                float(np.mean(window)),
+                _sample_std(window),
+                self.faults.count,
+                self.faults.duration_s,
             )
         )
         self.faults.episode_reset()  # no step is logged before the next reset
 
     def write(self, out_dir: Path) -> None:
         _write_csv(out_dir / "metrics.csv", TRAIN_CSV_COLUMNS, self.metric_rows)
-        fault_rows = [
-            (str(step), str(count), fmt9(duration))
-            for step, count, duration in self.faults.rows
-        ]
-        _write_csv(out_dir / "faults.csv", FAULTS_CSV_COLUMNS, fault_rows)
+        _write_csv(out_dir / "faults.csv", FAULTS_CSV_COLUMNS, self.faults.rows)
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +260,7 @@ def make_env(config: ExperimentConfig) -> HighwayEnv:
         weights=config.weights,
         reward_params=config.reward_params,
         n_traffic=config.env.n_traffic,
-        horizon=config.env.horizon,
+        horizon=config.env.horizon_steps,
     )
 
 
@@ -319,9 +318,9 @@ def evaluate_policy(
     return summary, episodes
 
 
-def _summary_row(first: str, second: str, summary: dict) -> tuple[str, ...]:
+def _summary_row(first, second, summary: dict) -> tuple:
     """An eval.csv or comparison.csv row: two key columns, then the summary."""
-    return (first, second, *(fmt9(summary[key]) for key in EVAL_CSV_COLUMNS[2:]))
+    return (first, second, *(summary[key] for key in EVAL_CSV_COLUMNS[2:]))
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +336,7 @@ class _PeriodicEval:
         self.out_dir = out_dir
         self.make_policy = make_policy
         self.save_checkpoint = save_checkpoint
-        self.rows: list[tuple[str, ...]] = []
+        self.rows: list[tuple] = []
         self.best = -math.inf
         self.next_at = config.eval_every
         self.index = 0
@@ -348,7 +347,7 @@ class _PeriodicEval:
         while self.next_at <= global_step:
             self.next_at += self.config.eval_every
         summary, _ = evaluate_policy(self.config, self.make_policy(), self.config.eval_episodes)
-        self.rows.append(_summary_row(str(self.index), str(global_step), summary))
+        self.rows.append(_summary_row(self.index, global_step, summary))
         print(
             f"  eval {self.index}: step={global_step} "
             f"mean_return={summary['mean_return']:.3f} "
@@ -455,20 +454,19 @@ def run_eval(config: ExperimentConfig, checkpoint, out_dir) -> dict:
     summary, episodes = evaluate_policy(config, policy, config.eval_episodes)
     summary = dict(summary, agent=config.agent, scenario=config.scenario)
 
-    rows = []
-    for i, m in enumerate(episodes):
-        rows.append(
-            (
-                str(i),
-                str(eval_episode_seed(config.seeds, i)),
-                fmt9(m.total),
-                str(m.length),
-                str(int(m.collided)),
-                str(int(m.off_road)),
-                fmt9(m.mean_speed),
-                str(m.lane_changes),
-            )
+    rows = [
+        (
+            i,
+            eval_episode_seed(config.seeds, i),
+            m.total,
+            m.length,
+            m.collided,
+            m.off_road,
+            m.mean_speed,
+            m.lane_changes,
         )
+        for i, m in enumerate(episodes)
+    ]
     _write_csv(out_dir / "eval_episodes.csv", EVAL_EPISODES_CSV_COLUMNS, rows)
     (out_dir / "eval_summary.json").write_text(
         json.dumps(summary, sort_keys=True, indent=2) + "\n", encoding="utf-8"
@@ -488,16 +486,16 @@ def export_trajectory(config: ExperimentConfig, checkpoint, seed: int, out_path)
         ego = env.ego
         rows.append(
             (
-                str(len(rows) + 1),
-                fmt9(ego.x),
-                fmt9(ego.y),
-                str(outcome.info["ego_lane"]),
-                fmt9(ego.v),
-                str(int(action)),
-                fmt9(outcome.reward.safety),
-                fmt9(outcome.reward.comfort),
-                fmt9(outcome.reward.efficiency),
-                fmt9(outcome.reward.total),
+                len(rows) + 1,
+                ego.x,
+                ego.y,
+                outcome.info["ego_lane"],
+                ego.v,
+                int(action),
+                outcome.reward.safety,
+                outcome.reward.comfort,
+                outcome.reward.efficiency,
+                outcome.reward.total,
             )
         )
 
@@ -529,7 +527,7 @@ def compare(config: ExperimentConfig, out_dir) -> tuple[list[dict], dict[str, st
         summary, _ = evaluate_policy(agent_config, policy, config.eval_episodes)
         summary = dict(summary, agent=agent)
         table.append(summary)
-        rows.append(_summary_row(agent, str(summary["episodes"]), summary))
+        rows.append(_summary_row(agent, summary["episodes"], summary))
     _write_csv(out_dir / "comparison.csv", COMPARE_CSV_COLUMNS, rows)
 
     header = f"{'agent':<8} {'mean_return':>12} {'std':>10} {'collisions':>11} {'mean_speed':>11}"

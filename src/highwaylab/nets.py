@@ -36,6 +36,9 @@ from .errors import (
 
 PARAMS_FORMAT_VERSION = 1
 
+# Bounds a learner config's hidden_sizes: 80 MB per float64 copy of the parameters
+MAX_NETWORK_PARAMETERS = 10_000_000
+
 _MAGIC_NETWORK = b"HRLL"
 _MAGIC_ARCHIVE = b"HRLC"
 _ACTIVATION_CODES = {"relu": 0, "tanh": 1}
@@ -70,6 +73,17 @@ class NetworkSpec:
     @property
     def n_params(self) -> int:
         return sum(o * i + o for i, o in zip(self.layer_sizes, self.layer_sizes[1:]))
+
+
+def check_hidden_sizes(hidden_sizes, n_in: int, n_out: int) -> tuple[int, ...]:
+    """``hidden_sizes`` as ints, each at least 1, for an ``n_in``-to-``n_out``
+    network of at most MAX_NETWORK_PARAMETERS parameters; ValueError if not."""
+    sizes = tuple(int(h) for h in hidden_sizes)
+    if any(h < 1 for h in sizes):
+        raise ValueError("hidden_sizes must be >= 1")
+    if NetworkSpec((n_in, *sizes, n_out)).n_params > MAX_NETWORK_PARAMETERS:
+        raise ValueError(f"hidden_sizes must give at most {MAX_NETWORK_PARAMETERS} parameters")
+    return sizes
 
 
 @lru_cache(maxsize=None)

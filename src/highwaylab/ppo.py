@@ -23,6 +23,7 @@ from typing import Callable
 import numpy as np
 
 from .actions import N_ACTIONS
+from .env import OBS_DIM
 from .episodes import EpisodeDriver
 from .errors import TrainingDivergenceError
 from .nets import (
@@ -31,6 +32,7 @@ from .nets import (
     ParameterSet,
     adam_step,
     backward,
+    check_hidden_sizes,
     forward,
     forward_activations,
     init_params,
@@ -39,6 +41,9 @@ from .nets import (
     save_agent,
     softmax,
 )
+
+
+MAX_ROLLOUT_LENGTH = 1_000_000  # steps; a rollout keeps 242 bytes per step at OBS_DIM 25
 
 
 @dataclass(frozen=True)
@@ -66,15 +71,16 @@ class PpoConfig:
             raise ValueError("rollout_length and minibatch_size must be >= 1")
         if self.rollout_length % self.minibatch_size != 0:
             raise ValueError("rollout_length must be divisible by minibatch_size")
+        if self.rollout_length > MAX_ROLLOUT_LENGTH:
+            raise ValueError(f"rollout_length must be <= {MAX_ROLLOUT_LENGTH}")
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
         if self.policy_lr <= 0 or self.value_lr <= 0:
             raise ValueError("learning rates must be > 0")
         if self.entropy_coef < 0:
             raise ValueError("entropy_coef must be >= 0")
-        object.__setattr__(self, "hidden_sizes", tuple(int(h) for h in self.hidden_sizes))
-        if any(h < 1 for h in self.hidden_sizes):
-            raise ValueError("hidden_sizes must be >= 1")
+        hidden = check_hidden_sizes(self.hidden_sizes, OBS_DIM, N_ACTIONS)
+        object.__setattr__(self, "hidden_sizes", hidden)
 
 
 @dataclass

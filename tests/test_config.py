@@ -1,15 +1,29 @@
 """Config parsing: defaults, overrides, and line-precise error reporting."""
 
+import hashlib
+import json
 import random
+from dataclasses import MISSING, asdict, fields
 from pathlib import Path
 
 import pytest
 
 from highwaylab.actions import N_ACTIONS
-from highwaylab.config import SCHEMA, describe_keys, load_config, parse_config
-from highwaylab.env import OBS_DIM
+from highwaylab.config import (
+    SCHEMA,
+    EnvSettings,
+    ExperimentConfig,
+    describe_keys,
+    load_config,
+    parse_config,
+)
+from highwaylab.dqn import MAX_BUFFER_CAPACITY, DqnConfig
+from highwaylab.env import DT, MAX_DELAY_SUBSTEPS, OBS_DIM, GhrParams, RoadConfig
 from highwaylab.errors import ConfigError
-from highwaylab.nets import NetworkSpec
+from highwaylab.nets import MAX_NETWORK_PARAMETERS, NetworkSpec
+from highwaylab.ppo import MAX_ROLLOUT_LENGTH, PpoConfig
+from highwaylab.reward import RewardParams, RewardWeights
+from highwaylab.rules import RuleParams
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -64,7 +78,7 @@ class TestParsing:
         assert cfg.env.road.lane_count == 4
         assert cfg.env.road.scenario == "merge"
         assert cfg.env.n_traffic == 2
-        assert cfg.env.horizon == 12
+        assert cfg.env.horizon_steps == 12
         assert cfg.weights.comfort == 0.5
         assert cfg.ppo.entropy_coef == 0.0
         assert cfg.rules.gap_accept_rear == 12.5
@@ -214,6 +228,106 @@ def test_mutated_configs_parse_or_raise_config_error():
         NetworkSpec((OBS_DIM, *config.ppo.hidden_sizes, N_ACTIONS))
         parsed += 1
     assert parsed > 250 and rejected > 2000
+
+
+# The widest single hidden layer whose network stays within the parameter bound.
+WIDEST = (MAX_NETWORK_PARAMETERS - N_ACTIONS) // (OBS_DIM + 1 + N_ACTIONS)
+
+
+class TestSizeBounds:
+    """Sizes that cannot be allocated are config errors; nothing here allocates."""
+
+    def test_values_at_the_bounds_parse(self):
+        cfg = parse_config(
+            f"[experiment]\nagent = dqn\n"
+            f"[env]\nghr_tau = {MAX_DELAY_SUBSTEPS * DT!r}\n"
+            f"[dqn]\nbuffer_capacity = {MAX_BUFFER_CAPACITY}\nhidden_sizes = {WIDEST}\n"
+            f"[ppo]\nrollout_length = {MAX_ROLLOUT_LENGTH}\nminibatch_size = 1\n"
+            f"hidden_sizes = {WIDEST}\n"
+        )
+        assert cfg.env.ghr.tau / DT == MAX_DELAY_SUBSTEPS
+        assert cfg.dqn.buffer_capacity == MAX_BUFFER_CAPACITY
+        assert cfg.ppo.rollout_length == MAX_ROLLOUT_LENGTH
+        assert NetworkSpec((OBS_DIM, WIDEST, N_ACTIONS)).n_params <= MAX_NETWORK_PARAMETERS
+        assert NetworkSpec((OBS_DIM, WIDEST + 1, N_ACTIONS)).n_params > MAX_NETWORK_PARAMETERS
+        assert cfg.dqn.hidden_sizes == cfg.ppo.hidden_sizes == (WIDEST,)
+
+    @pytest.mark.parametrize(
+        "section, lines",
+        [
+            ("dqn", f"buffer_capacity = {MAX_BUFFER_CAPACITY + 1}"),
+            ("dqn", f"buffer_capacity = {10**30}"),
+            ("ppo", f"rollout_length = {MAX_ROLLOUT_LENGTH + 1}\nminibatch_size = 1"),
+            ("ppo", f"rollout_length = {10**30}\nminibatch_size = 1"),
+            ("dqn", f"hidden_sizes = {WIDEST + 1}"),
+            ("ppo", f"hidden_sizes = {WIDEST + 1}"),
+            ("ppo", f"hidden_sizes = 64, {10**30}"),
+            ("env", f"ghr_tau = {(MAX_DELAY_SUBSTEPS + 1) * DT!r}"),
+            ("env", "ghr_tau = 1e300"),
+        ],
+    )
+    def test_values_past_the_bounds_blame_the_key_line(self, section, lines):
+        text = f"[experiment]\nagent = dqn\n\n[{section}]\n{lines}\n"
+        key = lines.partition(" ")[0]
+        with pytest.raises(ConfigError, match=rf"^cfg:5: {key} must"):
+            parse_config(text, origin="cfg")
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+class TestOneSourceOfTruth:
+    # Which dataclasses each section's keys fill, with the prefix a key puts
+    # before its field's name; and the fields parse_config passes in instead.
+    FILLED = {
+        "experiment": [(ExperimentConfig, "")],
+        "env": [(RoadConfig, ""), (EnvSettings, ""), (GhrParams, "ghr_")],
+        "reward": [(RewardWeights, "w_"), (RewardParams, "")],
+        "dqn": [(DqnConfig, "")],
+        "ppo": [(PpoConfig, "")],
+        "rules": [(RuleParams, "")],
+    }
+    PASSED_IN = {(RoadConfig, "scenario"), (EnvSettings, "road"), (EnvSettings, "ghr")} | {
+        (ExperimentConfig, name)
+        for name in ("env", "weights", "reward_params", "dqn", "ppo", "rules")
+    }
+
+    def test_every_key_fills_exactly_one_field(self):
+        assert list(SCHEMA) == list(self.FILLED)
+        for section, keys in SCHEMA.items():
+            filled = {}
+            for cls, prefix in self.FILLED[section]:
+                for field in fields(cls):
+                    if (cls, field.name) in self.PASSED_IN:
+                        continue
+                    key = prefix + field.name
+                    assert key in keys, f"{cls.__name__}.{field.name} is no key in [{section}]"
+                    assert key not in filled, f"{key} fills two fields"
+                    filled[key] = field
+            assert filled.keys() == keys.keys()
+            for key, (kind, default, _) in keys.items():
+                assert kind in ("int", "float", "bool", "str", "int_list"), key
+                field = filled[key]
+                assert default == (None if field.default is MISSING else field.default), key
+
+    def test_describe_keys_is_pinned(self):
+        # `highwaylab --help` prints this text: key order, types, defaults, help.
+        digest = "bef123dde4245d817068e64725ef269375db4ee176226e4b15f62be7be5a9e0e"
+        assert sha256(describe_keys()) == digest
+
+    @pytest.mark.parametrize(
+        "name, digest",
+        [
+            ("highway_rules.ini", "4fed67c8f2ca5591c7c8b0407d81117a3a0cff0dbf5cda31d0a841de65fe29a1"),
+            ("merge_compare.ini", "62b9d265498496f87fa698aae130620774260cdd040754f375a818d6ed3f60d0"),
+            ("merge_dqn.ini", "bb826fae839952351198a0449d0ff01be08c3859304baab78bc1399a748922f9"),
+            ("merge_ppo.ini", "98359cc676b0aafdb8153c133150b4d4a43155451f346d908fb0274030090a9e"),
+        ],
+    )
+    def test_shipped_config_parses_to_pinned_values(self, name, digest):
+        config = load_config(CONFIGS / name)
+        assert sha256(json.dumps(asdict(config), sort_keys=True)) == digest
 
 
 class TestHelp:

@@ -9,9 +9,11 @@ import zlib
 import numpy as np
 import pytest
 
+from highwaylab.actions import N_ACTIONS
 from highwaylab.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, main
 from highwaylab.config import parse_config
 from highwaylab.dqn import DqnConfig, DqnLearner
+from highwaylab.env import OBS_DIM
 from highwaylab.errors import CheckpointError, CheckpointFormatError, CheckpointMismatchError
 from highwaylab.harness import (
     EVAL_CSV_COLUMNS,
@@ -314,6 +316,42 @@ class TestCompare:
         assert a == b
 
 
+class TestPinnedCsvBytes:
+    # Untrained seed-0 learners, so that compare fills every row; one seed
+    # above 1e9, which must be written whole.
+    CONFIG = """
+[experiment]
+agent = rules
+seeds = 5, 3000000000
+eval_episodes = 3
+dqn_checkpoint = {dqn}
+ppo_checkpoint = {ppo}
+
+[dqn]
+hidden_sizes = 16
+
+[ppo]
+hidden_sizes = 16
+"""
+
+    def test_eval_rollout_and_compare_csvs_are_pinned(self, tmp_path):
+        dqn, ppo = tmp_path / "dqn.bin", tmp_path / "ppo.bin"
+        cfg = parse_config(self.CONFIG.format(dqn=dqn, ppo=ppo))
+        DqnLearner(OBS_DIM, N_ACTIONS, cfg.dqn, seed=0).save(dqn)
+        PpoLearner(OBS_DIM, N_ACTIONS, cfg.ppo, seed=0).save(ppo)
+        run_eval(cfg, None, tmp_path / "eval")
+        export_trajectory(cfg, None, 3_000_000_000, tmp_path / "rollout.csv")
+        compare(cfg, tmp_path / "cmp")
+        paths = ("eval/eval_episodes.csv", "rollout.csv", "cmp/comparison.csv")
+        digests = [hashlib.sha256((tmp_path / p).read_bytes()).hexdigest() for p in paths]
+        assert digests == [
+            "d587205ca588532187a1623425106081359e1a85d47b60d898724b0ef2ad62b9",
+            "15f07b899df430f36baae8941bb54785e6dfaec0c8d5b773eda392ca405dd5c2",
+            "98a5b46ab75ed0cd67d9c16484ac74b9646cb566d0bc6edf9e4a85770c366102",
+        ]
+        assert "\n1,3000000000," in (tmp_path / paths[0]).read_text()
+
+
 class TestCli:
     def test_train_eval_rollout_compare_exit_codes(self, tmp_path):
         config_path = tmp_path / "cfg.ini"
@@ -344,7 +382,11 @@ class TestCli:
 
     @pytest.mark.parametrize(
         "line, message",
-        [("ghr_c = nan", "bad value for 'ghr_c'"), ("ghr_m = -1", "ghr_m must be >= 0")],
+        [
+            ("ghr_c = nan", "bad value for 'ghr_c'"),
+            ("ghr_m = -1", "ghr_m must be >= 0"),
+            ("ghr_tau = 1e300", "ghr_tau must be <= 100 s"),
+        ],
     )
     def test_bad_ghr_value_exit_code(self, tmp_path, capsys, line, message):
         config_path = tmp_path / "ghr.ini"
