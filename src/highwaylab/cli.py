@@ -15,6 +15,8 @@ from __future__ import annotations
 import argparse
 import sys
 
+import numpy as np
+
 from .config import describe_keys, load_config
 from .errors import CheckpointError, ConfigError, TrainingDivergenceError
 from .harness import compare, export_trajectory, run_eval, run_train
@@ -70,6 +72,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@np.errstate(all="ignore")  # finiteness checks report a diverging network (exit 3)
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:

@@ -18,6 +18,7 @@ from .env import OBS_DIM
 from .errors import TrainingDivergenceError
 from .nets import (
     AdamState,
+    CheckpointedLearner,
     NetworkSpec,
     ParameterSet,
     adam_step,
@@ -26,8 +27,6 @@ from .nets import (
     forward,
     forward_activations,
     init_params,
-    load_agent,
-    save_agent,
 )
 
 
@@ -192,8 +191,9 @@ def loss_and_gradient(
     return loss, backward(spec, params, batch.obs, g_out, acts)
 
 
-class DqnLearner:
-    """Single-writer learner state: buffer, online net, target net, optimizer."""
+class DqnLearner(CheckpointedLearner):
+    """Single-writer learner state: buffer, online net, target net, optimizer.
+    Checkpoints leave the replay buffer out: a loaded learner starts with an empty one."""
 
     def __init__(self, obs_dim: int, n_actions: int = N_ACTIONS, config: DqnConfig | None = None, seed: int = 0):
         self.config = config if config is not None else DqnConfig()
@@ -231,25 +231,21 @@ class DqnLearner:
 
     def train_step(self) -> dict:
         """One sampled gradient step; a no-op before learn_start transitions."""
-        if len(self.buffer) < self.config.learn_start:
-            return {
-                "skipped": True,
-                "loss": float("nan"),
-                "epsilon": self.epsilon,
-                "buffer_size": len(self.buffer),
-            }
-        batch = self.buffer.sample(self.config.batch_size)
-        targets = compute_targets(batch, self.spec, self.target_params, self.config.gamma)
-        loss, grad = loss_and_gradient(batch, self.spec, self.params, targets)
-        self.params, self.adam = adam_step(self.adam, self.params, grad)
-        self.grad_steps += 1
-        counter = (
-            self.grad_steps if self.config.target_sync_unit == "gradient" else self.env_steps
-        )
-        if counter % self.config.target_sync_every == 0:
-            self.sync_target()
+        skipped = len(self.buffer) < self.config.learn_start
+        loss = float("nan")
+        if not skipped:
+            batch = self.buffer.sample(self.config.batch_size)
+            targets = compute_targets(batch, self.spec, self.target_params, self.config.gamma)
+            loss, grad = loss_and_gradient(batch, self.spec, self.params, targets)
+            self.params, self.adam = adam_step(self.adam, self.params, grad)
+            self.grad_steps += 1
+            counter = (
+                self.grad_steps if self.config.target_sync_unit == "gradient" else self.env_steps
+            )
+            if counter % self.config.target_sync_every == 0:
+                self.sync_target()
         return {
-            "skipped": False,
+            "skipped": skipped,
             "loss": loss,
             "epsilon": self.epsilon,
             "buffer_size": len(self.buffer),
@@ -261,15 +257,3 @@ class DqnLearner:
     NETWORKS = {"q": ("spec", "params"), "q_target": ("spec", "target_params")}
     OPTIMIZERS = {"adam": ("spec", "adam")}
     COUNTERS = ("env_steps", "grad_steps")
-
-    def save(self, path) -> None:
-        save_agent(self, path)
-
-    @classmethod
-    def load(cls, path, config: DqnConfig | None = None, seed: int = 0) -> "DqnLearner":
-        """Restore parameters, target, optimizer, and counters.
-
-        Replay contents are not checkpointed; a resumed learner starts with
-        an empty buffer.
-        """
-        return load_agent(cls, path, config, seed)

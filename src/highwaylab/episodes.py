@@ -47,10 +47,10 @@ class EpisodeDriver:
     Episode i starts with ``env.reset(episode_seed_fn(i))``, followed by
     ``policy.reset(policy_seed_fn(i), env)`` when a policy seed function is
     given. A step takes the policy's action (or the one passed in), steps
-    the environment, adds the step to ``stats``, calls
-    ``on_step(obs, action, outcome)`` and then
-    ``recorder.on_step(stats, outcome, global_step)``. An episode that ends
-    is followed at once by the next one's reset unless the step says not to.
+    the environment, adds the step to ``stats`` and then calls the one
+    per-step hook, ``on_step(obs, action, outcome)``, when one is given. An
+    episode that ends is followed at once by the next one's reset unless the
+    step says not to.
     """
 
     def __init__(
@@ -60,14 +60,12 @@ class EpisodeDriver:
         episode_seed_fn: Callable[[int], int],
         policy_seed_fn: Callable[[int], int] | None = None,
         on_step=None,
-        recorder=None,
     ):
         self.env = env
         self.policy = policy
         self.episode_seed_fn = episode_seed_fn
         self.policy_seed_fn = policy_seed_fn
         self.on_step = on_step
-        self.recorder = recorder
         self.episode_index = 0
         self.global_step = 0
         self.obs = None  # None before the first reset and after a final step
@@ -88,8 +86,6 @@ class EpisodeDriver:
         self.stats.add(outcome)
         if self.on_step is not None:
             self.on_step(obs, action, outcome)
-        if self.recorder is not None:
-            self.recorder.on_step(self.stats, outcome, self.global_step)
         ended = outcome.terminated or outcome.truncated
         self.obs = None if ended else outcome.observation
         if ended and auto_reset:

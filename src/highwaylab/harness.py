@@ -31,8 +31,8 @@ from .config import ExperimentConfig
 from .dqn import DqnLearner, Transition
 from .env import DECISION_PERIOD, OBS_DIM, HighwayEnv, StepOutcome
 from .episodes import EpisodeDriver, EpisodeStats
-from .errors import CheckpointError, CheckpointMismatchError
-from .nets import NetworkSpec, ParameterSet, forward
+from .errors import CheckpointError, CheckpointMismatchError, TrainingDivergenceError
+from .nets import NetworkSpec, ParameterSet, acting_network, forward
 from .ppo import PpoLearner, RolloutCollector
 from .rules import RuleAgent
 
@@ -86,6 +86,9 @@ _TAG_TRAIN_EPISODE = 101
 _TAG_RANDOM_TRAIN = 202
 _TAG_RANDOM_EVAL = 303
 _EVAL_SEED_STRIDE = 1_000_003  # spreads repeated passes over the seed list
+
+# The learner class of each learned agent, configured by the section of the same name.
+LEARNERS = {"dqn": DqnLearner, "ppo": PpoLearner}
 
 
 def fmt9(value: float) -> str:
@@ -275,12 +278,8 @@ def build_eval_policy(config: ExperimentConfig, checkpoint: str | Path | None):
     path = Path(checkpoint)
     if not path.exists():
         raise CheckpointError(f"checkpoint not found: {path}")
-    if config.agent == "dqn":
-        learner = DqnLearner.load(path, config.dqn)
-        spec, params = learner.spec, learner.params
-    else:
-        learner = PpoLearner.load(path, config.ppo)
-        spec, params = learner.policy_spec, learner.policy_params
+    learner = LEARNERS[config.agent].load(path, getattr(config, config.agent))
+    spec, params = acting_network(learner)
     if (spec.input_dim, spec.output_dim) != (OBS_DIM, N_ACTIONS):
         raise CheckpointMismatchError(
             f"checkpoint network maps {spec.input_dim} inputs to {spec.output_dim} "
@@ -294,9 +293,9 @@ def build_eval_policy(config: ExperimentConfig, checkpoint: str | Path | None):
 # ---------------------------------------------------------------------------
 
 
-def run_episode(env: HighwayEnv, policy, episode_seed: int) -> EpisodeStats:
+def run_episode(env: HighwayEnv, policy, episode_seed: int, on_step=None) -> EpisodeStats:
     seed = lambda _: episode_seed
-    return EpisodeDriver(env, policy, seed, policy_seed_fn=seed).episode()
+    return EpisodeDriver(env, policy, seed, policy_seed_fn=seed, on_step=on_step).episode()
 
 
 def evaluate_policy(
@@ -328,104 +327,102 @@ def _summary_row(first, second, summary: dict) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-class _PeriodicEval:
-    """Shared evaluation cadence, best-checkpoint tracking, and eval.csv rows."""
+class TrainingRun:
+    """One seed's training run: env, driver, recorder, learner and evaluation state.
 
-    def __init__(self, config: ExperimentConfig, out_dir: Path, make_policy, save_checkpoint):
+    `advance` is the loop body: one driver step, or for PPO one rollout and
+    its update, then any due evaluation. The driver's one hook lets DQN learn
+    from each step, then hands it to the recorder. A divergence writes the
+    CSVs so far (no checkpoint_final.bin) and re-raises with seed and step.
+    """
+
+    def __init__(self, config: ExperimentConfig, run_seed: int, out_dir):
         self.config = config
-        self.out_dir = out_dir
-        self.make_policy = make_policy
-        self.save_checkpoint = save_checkpoint
-        self.rows: list[tuple] = []
-        self.best = -math.inf
-        self.next_at = config.eval_every
-        self.index = 0
+        self.run_seed = run_seed
+        self.out_dir = Path(out_dir)
+        self.recorder = TrainRecorder()
+        self.eval_rows: list[tuple] = []
+        self.best_return = -math.inf
+        self.next_eval_at = config.eval_every
+        env = make_env(config)
+        episode_seed = functools.partial(train_episode_seed, run_seed)
+        agent = config.agent
+        self.learner = None
+        if agent in LEARNERS:
+            self.learner = LEARNERS[agent](OBS_DIM, N_ACTIONS, getattr(config, agent), run_seed)
+        if agent == "ppo":
+            self.driver = RolloutCollector(env, episode_seed, on_step=self._on_step)
+        elif agent == "dqn":
+            self.driver = EpisodeDriver(env, self.learner, episode_seed, on_step=self._on_step)
+        else:
+            self.eval_policy = build_eval_policy(config, None)
+            if agent == "rules":
+                policy = RulePolicy(config)
+            else:
+                policy = RandomPolicy(run_seed, tag=_TAG_RANDOM_TRAIN)
+            policy_seed = functools.partial(derive_seed, run_seed)
+            self.driver = EpisodeDriver(env, policy, episode_seed, policy_seed, self._on_step)
+        self.driver.reset()
 
-    def maybe_run(self, global_step: int) -> None:
-        if global_step < self.next_at:
-            return
-        while self.next_at <= global_step:
-            self.next_at += self.config.eval_every
-        summary, _ = evaluate_policy(self.config, self.make_policy(), self.config.eval_episodes)
-        self.rows.append(_summary_row(self.index, global_step, summary))
+    def _on_step(self, obs, action, outcome: StepOutcome) -> None:
+        if self.config.agent == "dqn":
+            self.learner.observe(
+                Transition(obs, action, outcome.reward.total, outcome.observation, outcome.terminated)
+            )
+            self.learner.train_step()
+        self.recorder.on_step(self.driver.stats, outcome, self.driver.global_step)
+
+    def advance(self) -> None:
+        try:
+            if self.config.agent == "ppo":
+                batch = self.driver.collect(
+                    self.learner.policy_spec,
+                    self.learner.policy_params,
+                    self.learner.value_spec,
+                    self.learner.value_params,
+                    self.config.ppo.rollout_length,
+                    self.learner.action_rng,
+                )
+                self.learner.prepare(batch)
+                self.learner.update(batch)
+                del batch  # not held through the evaluation below
+            else:
+                self.driver.step()
+        except TrainingDivergenceError as exc:
+            self.finish(diverged=True)
+            raise TrainingDivergenceError(
+                f"seed {self.run_seed}, global step {self.driver.global_step}: {exc}"
+            ) from exc
+        if self.driver.global_step >= self.next_eval_at:
+            self._evaluate()
+
+    def _evaluate(self) -> None:
+        step = self.driver.global_step
+        while self.next_eval_at <= step:
+            self.next_eval_at += self.config.eval_every
+        if self.learner is None:
+            policy = self.eval_policy
+        else:
+            policy = GreedyPolicy(*acting_network(self.learner))
+        summary, _ = evaluate_policy(self.config, policy, self.config.eval_episodes)
+        self.eval_rows.append(_summary_row(len(self.eval_rows), step, summary))
         print(
-            f"  eval {self.index}: step={global_step} "
+            f"  eval {len(self.eval_rows) - 1}: step={step} "
             f"mean_return={summary['mean_return']:.3f} "
             f"collision_rate={summary['collision_rate']:.2f}"
         )
-        if summary["mean_return"] > self.best:
-            self.best = summary["mean_return"]
-            if self.save_checkpoint is not None:
-                self.save_checkpoint(self.out_dir / "checkpoint_best.bin")
-        self.index += 1
+        if summary["mean_return"] > self.best_return:
+            self.best_return = summary["mean_return"]
+            if self.learner is not None:
+                self.learner.save(self.out_dir / "checkpoint_best.bin")
 
-    def write(self) -> None:
-        _write_csv(self.out_dir / "eval.csv", EVAL_CSV_COLUMNS, self.rows)
-
-
-def _train_run(config: ExperimentConfig, run_seed: int, out_dir: Path) -> None:
-    """One seed's run: every agent steps through one EpisodeDriver.
-
-    DQN learns after every step, PPO after every rollout; rules and random
-    agents only log their behaviour. Evaluation follows each step or rollout
-    once the cadence is due, and uses a greedy or a separate scripted policy.
-    """
-    env = make_env(config)
-    recorder = TrainRecorder()
-    episode_seed = functools.partial(train_episode_seed, run_seed)
-    learner = None
-    if config.agent == "dqn":
-        learner = DqnLearner(OBS_DIM, N_ACTIONS, config.dqn, seed=run_seed)
-
-        def learn(obs, action, outcome: StepOutcome) -> None:
-            learner.observe(
-                Transition(obs, action, outcome.reward.total, outcome.observation, outcome.terminated)
-            )
-            learner.train_step()
-
-        driver = EpisodeDriver(env, learner, episode_seed, on_step=learn, recorder=recorder)
-        advance = driver.step
-        make_eval_policy = lambda: GreedyPolicy(learner.spec, learner.params)
-    elif config.agent == "ppo":
-        learner = PpoLearner(OBS_DIM, N_ACTIONS, config.ppo, seed=run_seed)
-        driver = RolloutCollector(env, episode_seed, recorder)
-
-        def advance() -> None:
-            batch = driver.collect(
-                learner.policy_spec,
-                learner.policy_params,
-                learner.value_spec,
-                learner.value_params,
-                config.ppo.rollout_length,
-                learner.action_rng,
-            )
-            learner.prepare(batch)
-            learner.update(batch)
-
-        make_eval_policy = lambda: GreedyPolicy(learner.policy_spec, learner.policy_params)
-    else:
-        if config.agent == "rules":
-            policy, eval_policy = RulePolicy(config), RulePolicy(config)
-        else:
-            policy = RandomPolicy(run_seed, tag=_TAG_RANDOM_TRAIN)
-            eval_policy = RandomPolicy()
-        policy_seed = functools.partial(derive_seed, run_seed)
-        driver = EpisodeDriver(env, policy, episode_seed, policy_seed, recorder=recorder)
-        advance = driver.step
-        make_eval_policy = lambda: eval_policy
-    evaluator = _PeriodicEval(
-        config, out_dir, make_eval_policy, None if learner is None else learner.save
-    )
-
-    driver.reset()
-    while driver.global_step < config.total_env_steps:
-        advance()
-        evaluator.maybe_run(driver.global_step)
-
-    recorder.write(out_dir)
-    evaluator.write()
-    if learner is not None:
-        learner.save(out_dir / "checkpoint_final.bin")
+    def finish(self, diverged: bool = False) -> None:
+        """Write the three CSVs and, unless the run diverged, a learner's checkpoint_final.bin."""
+        self.driver.on_step = None  # the hook refers back to this run: unhook so both free at once
+        self.recorder.write(self.out_dir)
+        _write_csv(self.out_dir / "eval.csv", EVAL_CSV_COLUMNS, self.eval_rows)
+        if self.learner is not None and not diverged:
+            self.learner.save(self.out_dir / "checkpoint_final.bin")
 
 
 def run_train(config: ExperimentConfig, out_dir) -> dict[int, Path]:
@@ -436,7 +433,10 @@ def run_train(config: ExperimentConfig, out_dir) -> dict[int, Path]:
         seed_dir = out_dir / f"seed_{run_seed}"
         seed_dir.mkdir(parents=True, exist_ok=True)
         print(f"[train] agent={config.agent} scenario={config.scenario} seed={run_seed}")
-        _train_run(config, run_seed, seed_dir)
+        run = TrainingRun(config, run_seed, seed_dir)
+        while run.driver.global_step < config.total_env_steps:
+            run.advance()
+        run.finish()
         run_dirs[run_seed] = seed_dir
     return run_dirs
 
@@ -499,8 +499,7 @@ def export_trajectory(config: ExperimentConfig, checkpoint, seed: int, out_path)
             )
         )
 
-    seed_fn = lambda _: seed
-    EpisodeDriver(env, policy, seed_fn, policy_seed_fn=seed_fn, on_step=add_row).episode()
+    run_episode(env, policy, seed, on_step=add_row)
     _write_csv(out_path, TRAJECTORY_CSV_COLUMNS, rows)
     return out_path
 

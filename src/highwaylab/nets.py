@@ -573,17 +573,23 @@ def adam_from_bytes(data: bytes) -> AdamState:
     return AdamState(m=m, v=v, t=int(t), learning_rate=lr, beta1=beta1, beta2=beta2, eps=eps)
 
 
+def acting_network(learner) -> tuple[NetworkSpec, ParameterSet]:
+    """The (spec, params) of the network that acts: the first one the learner's class declares."""
+    spec_attr, params_attr = next(iter(type(learner).NETWORKS.values()))
+    return getattr(learner, spec_attr), getattr(learner, params_attr)
+
+
 def save_agent(learner, path) -> None:
     """Write ``learner`` as the HRLC archive its class declares.
 
     The class names its ``AGENT`` kind, its ``NETWORKS`` and ``OPTIMIZERS``
     as ``{section: (spec attribute, params or Adam attribute)}`` and its
-    integer ``COUNTERS``. The meta section holds the kind, the first
+    integer ``COUNTERS``. The meta section holds the kind, the acting
     network's input and output widths as ``obs_dim`` and ``n_actions``, and
     the counters; the networks and then the optimizers follow in order.
     """
     cls = type(learner)
-    spec = getattr(learner, next(iter(cls.NETWORKS.values()))[0])
+    spec, _ = acting_network(learner)
     meta = {"agent": cls.AGENT, "obs_dim": spec.input_dim, "n_actions": spec.output_dim}
     meta.update((name, getattr(learner, name)) for name in cls.COUNTERS)
     sections = [("meta", json.dumps(meta, sort_keys=True).encode("utf-8"))]
@@ -648,3 +654,14 @@ def load_agent(cls, path, config, seed):
     for name in cls.COUNTERS:
         setattr(learner, name, meta[name])
     return learner
+
+
+class CheckpointedLearner:
+    """A learner that is saved and loaded as the archive its class declares."""
+
+    def save(self, path) -> None:
+        save_agent(self, path)
+
+    @classmethod
+    def load(cls, path, config=None, seed: int = 0):
+        return load_agent(cls, path, config, seed)

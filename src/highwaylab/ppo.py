@@ -28,6 +28,7 @@ from .episodes import EpisodeDriver
 from .errors import TrainingDivergenceError
 from .nets import (
     AdamState,
+    CheckpointedLearner,
     NetworkSpec,
     ParameterSet,
     adam_step,
@@ -36,10 +37,7 @@ from .nets import (
     forward,
     forward_activations,
     init_params,
-    load_agent,
     log_softmax,
-    save_agent,
-    softmax,
 )
 
 
@@ -220,6 +218,15 @@ def value_loss(
     return loss, backward(value_spec, value_params, obs, g_out, acts)
 
 
+def _action_distribution(
+    spec: NetworkSpec, params: ParameterSet, obs
+) -> tuple[np.ndarray, np.ndarray]:
+    """(log probabilities, their exp): the one action distribution that rollouts,
+    `PpoLearner.act` and `PpoLearner.policy_probabilities` all read."""
+    logp = log_softmax(forward(spec, params, obs))
+    return logp, np.exp(logp)
+
+
 def _sample_action(rng: np.random.Generator, probs: np.ndarray) -> int:
     """Draw an action index; non-finite probabilities mean the policy diverged."""
     try:
@@ -233,12 +240,12 @@ class RolloutCollector(EpisodeDriver):
 
     ``episode_seed_fn(episode_index)`` supplies the seed for every fresh
     episode, so a fixed function plus a fixed action stream reproduces the
-    rollout bit for bit. A ``recorder`` sees every step, as in
+    rollout bit for bit. An ``on_step`` hook sees every step, as in
     `EpisodeDriver`.
     """
 
-    def __init__(self, env, episode_seed_fn: Callable[[int], int], recorder=None):
-        super().__init__(env, None, episode_seed_fn, recorder=recorder)
+    def __init__(self, env, episode_seed_fn: Callable[[int], int], on_step=None):
+        super().__init__(env, None, episode_seed_fn, on_step=on_step)
 
     def collect(
         self,
@@ -267,8 +274,8 @@ class RolloutCollector(EpisodeDriver):
 
         for t in range(length):
             obs = self.obs
-            logp = log_softmax(forward(policy_spec, policy_params, obs))
-            action = _sample_action(rng, np.exp(logp))
+            logp, probs = _action_distribution(policy_spec, policy_params, obs)
+            action = _sample_action(rng, probs)
             outcome = self.step(action)
 
             obs_arr[t] = obs
@@ -294,7 +301,7 @@ class RolloutCollector(EpisodeDriver):
         )
 
 
-class PpoLearner:
+class PpoLearner(CheckpointedLearner):
     """Separate policy and value heads with their own Adam states."""
 
     def __init__(self, obs_dim: int, n_actions: int = N_ACTIONS, config: PpoConfig | None = None, seed: int = 0):
@@ -316,11 +323,10 @@ class PpoLearner:
         self.env_steps = 0
 
     def act(self, obs: np.ndarray) -> int:
-        logits = forward(self.policy_spec, self.policy_params, obs)
-        return _sample_action(self.action_rng, softmax(logits))
+        return _sample_action(self.action_rng, self.policy_probabilities(obs))
 
     def policy_probabilities(self, obs: np.ndarray) -> np.ndarray:
-        return softmax(forward(self.policy_spec, self.policy_params, obs))
+        return _action_distribution(self.policy_spec, self.policy_params, obs)[1]
 
     def prepare(self, batch: RolloutBatch) -> RolloutBatch:
         """Fill advantages and value targets in place and return the batch."""
@@ -387,10 +393,3 @@ class PpoLearner:
         "adam_value": ("value_spec", "value_adam"),
     }
     COUNTERS = ("rollouts_done", "env_steps")
-
-    def save(self, path) -> None:
-        save_agent(self, path)
-
-    @classmethod
-    def load(cls, path, config: PpoConfig | None = None, seed: int = 0) -> "PpoLearner":
-        return load_agent(cls, path, config, seed)

@@ -1,26 +1,31 @@
 """Harness tests: file schemas, byte determinism, cross-file consistency."""
 
+import gc
 import hashlib
 import json
 import math
 import struct
+import warnings
+import weakref
 import zlib
 
 import numpy as np
 import pytest
 
 from highwaylab.actions import N_ACTIONS
-from highwaylab.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, main
+from highwaylab.cli import EXIT_CONFIG, EXIT_DIVERGENCE, EXIT_IO, EXIT_OK, main
 from highwaylab.config import parse_config
 from highwaylab.dqn import DqnConfig, DqnLearner
 from highwaylab.env import OBS_DIM
 from highwaylab.errors import CheckpointError, CheckpointFormatError, CheckpointMismatchError
 from highwaylab.harness import (
     EVAL_CSV_COLUMNS,
+    FAULTS_CSV_COLUMNS,
     TRAIN_CSV_COLUMNS,
     TRAJECTORY_CSV_COLUMNS,
     FaultLog,
     RulePolicy,
+    TrainingRun,
     build_eval_policy,
     compare,
     derive_seed,
@@ -201,6 +206,113 @@ class TestRunTrain:
         durations = [float(r[2]) for r in rows]
         assert counts == sorted(counts)
         assert durations == sorted(durations)
+
+
+class TestTrainingRun:
+    def test_advance_evaluates_once_the_cadence_is_due(self, tmp_path):
+        cfg = parse_config(SMALL_RANDOM)
+        run = TrainingRun(cfg, 5, tmp_path)
+        for _ in range(199):
+            run.advance()
+        assert run.eval_rows == []
+        run.advance()
+        assert [row[:2] for row in run.eval_rows] == [(0, 200)]
+        assert run.next_eval_at == 400
+        run.finish()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["eval.csv", "faults.csv", "metrics.csv"]
+        assert len(read_csv(tmp_path / "faults.csv")[1]) == 200
+
+    @pytest.mark.parametrize("text", [SMALL_DQN, SMALL_PPO], ids=["dqn", "ppo"])
+    def test_finished_run_is_freed_without_the_cycle_collector(self, tmp_path, text):
+        # A run kept alive by a reference cycle would hold its learner and
+        # replay buffer until a full collection, across the following seeds.
+        run = TrainingRun(parse_config(text), 5, tmp_path)
+        run.advance()
+        run.finish()
+        gc.disable()
+        try:
+            freed = weakref.ref(run)
+            del run
+            assert freed() is None
+        finally:
+            gc.enable()
+
+    def test_cadence_between_rollout_ends(self, tmp_path):
+        # The marks 100 and 200 of eval_every = 100 fall inside the second and
+        # the fourth 64-step rollout, so each evaluation waits for its end.
+        cfg = parse_config(
+            """
+[experiment]
+agent = ppo
+scenario = merge
+seeds = 5
+total_env_steps = 256
+eval_every = 100
+eval_episodes = 2
+
+[ppo]
+rollout_length = 64
+minibatch_size = 32
+epochs = 1
+hidden_sizes = 16
+"""
+        )
+        out = run_train(cfg, tmp_path)[5]
+        _, rows = read_csv(out / "eval.csv")
+        assert [row[:2] for row in rows] == [["0", "128"], ["1", "256"]]
+        # checkpoint_best.bin is saved on a strict gain only, and the
+        # step-256 evaluation does not beat the step-128 one.
+        assert float(rows[1][2]) <= float(rows[0][2])
+        steps = [
+            json.loads(read_archive(out / f"checkpoint_{name}.bin")["meta"])["env_steps"]
+            for name in ("best", "final")
+        ]
+        assert steps == [128, 256]
+
+
+class TestDivergedRun:
+    # One Adam step at this learning rate makes the Q network overflow; the
+    # action at step 251 then sees non-finite Q values.
+    CONFIG = """
+[experiment]
+agent = dqn
+scenario = merge
+seeds = 5
+total_env_steps = 300
+eval_every = 100
+eval_episodes = 2
+
+[dqn]
+learn_start = 250
+buffer_capacity = 2000
+hidden_sizes = 16
+learning_rate = 1e300
+"""
+
+    def test_cli_keeps_the_rows_recorded_so_far(self, tmp_path, capsys):
+        config_path = tmp_path / "cfg.ini"
+        config_path.write_text(self.CONFIG)
+        out = tmp_path / "runs"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)  # numpy's overflow must stay silent
+            code = main(["train", "--config", str(config_path), "--out", str(out)])
+        assert code == EXIT_DIVERGENCE
+        assert capsys.readouterr().err == (
+            "training diverged: seed 5, global step 250: non-finite Q values in action selection\n"
+        )
+        run_dir = out / "seed_5"
+        names = sorted(p.name for p in run_dir.iterdir())
+        assert names == ["checkpoint_best.bin", "eval.csv", "faults.csv", "metrics.csv"]
+        files = {"metrics": TRAIN_CSV_COLUMNS, "faults": FAULTS_CSV_COLUMNS, "eval": EVAL_CSV_COLUMNS}
+        rows = {}
+        for name, columns in files.items():
+            header, rows[name] = read_csv(run_dir / f"{name}.csv")
+            assert tuple(header) == columns and rows[name]
+            assert all(math.isfinite(float(value)) for row in rows[name] for value in row)
+        # the recorder saw every step up to the one whose action diverged
+        assert [int(row[0]) for row in rows["faults"]] == list(range(1, 251))
+        assert [row[1] for row in rows["eval"]] == ["100", "200"]
+        assert int(rows["metrics"][-1][1]) <= 250
 
 
 class TestOneEpisodeLoop:

@@ -13,6 +13,7 @@ from highwaylab.nets import (
     forward,
     init_params,
     log_softmax,
+    softmax,
 )
 from highwaylab.ppo import (
     PpoConfig,
@@ -487,6 +488,24 @@ class TestDivergedPolicy:
         obs = HighwayEnv(road=RoadConfig(scenario="merge")).reset(4)
         with np.errstate(all="ignore"), pytest.raises(TrainingDivergenceError):
             learner.act(obs)
+
+
+class TestOneActionDistribution:
+    def test_act_and_probabilities_read_the_rollout_distribution(self):
+        # Rollouts sample from exp(log_softmax(logits)); softmax(logits)
+        # differs from it in the last bits for most logit vectors.
+        learner = PpoLearner(25, 5, small_ppo_config(), seed=9)
+        rng = np.random.default_rng(3)
+        softmax_differs = 0
+        for obs in rng.normal(size=(50, 25)):
+            logits = forward(learner.policy_spec, learner.policy_params, obs)
+            probs = np.exp(log_softmax(logits))
+            assert np.array_equal(learner.policy_probabilities(obs), probs)
+            softmax_differs += not np.array_equal(softmax(logits), probs)
+            reference = np.random.default_rng()
+            reference.bit_generator.state = learner.action_rng.bit_generator.state
+            assert learner.act(obs) == int(reference.choice(5, p=probs))
+        assert softmax_differs > 0
 
 
 class TestRolloutCollection:
