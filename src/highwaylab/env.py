@@ -193,50 +193,25 @@ def _x_order(xs: Sequence[float]) -> list[int]:
     return sorted(range(len(xs)), key=xs.__getitem__)
 
 
-def _leaders(
-    order: Sequence[int], xs: Sequence[float], ys: Sequence[float], half: float
-) -> list[int]:
-    """Index of each vehicle's leader, -1 where it has none.
-
-    The leader is the vehicle with the smallest dx = x_leader - x > 0 among
-    those less than half a lane away laterally, the lowest index on equal
-    dx. Vehicles are grouped by exact y (traffic sits on lane centres), each
-    group in x order from `_x_order`; for every pair of groups within half a
-    lane of each other one merge-like pass finds each vehicle's first
-    candidate strictly ahead. Later candidates at the same dx (equal x, or
-    an x whose difference rounds alike) follow it directly.
-    """
-    leader = [-1] * len(order)
-    lanes: dict[float, list[int]] = {}
-    for i in order:
-        lanes.setdefault(ys[i], []).append(i)
-    for y, members in lanes.items():
-        for other_y, ahead in lanes.items():
-            dy = other_y - y
-            if dy >= half or dy <= -half:  # abs(dy) >= half
-                continue
-            k = 0
-            m = len(ahead)
-            for i in members:
-                xi = xs[i]
-                while k < m and xs[ahead[k]] - xi <= 0.0:
-                    k += 1
-                if k == m:
-                    break
-                j = ahead[k]
-                dx = xs[j] - xi
-                k2 = k + 1
-                while k2 < m and xs[ahead[k2]] - xi == dx:
-                    if ahead[k2] < j:
-                        j = ahead[k2]
-                    k2 += 1
-                best = leader[i]
-                if best >= 0:
-                    best_dx = xs[best] - xi
-                    if dx > best_dx or (dx == best_dx and j > best):
-                        continue
-                leader[i] = j
+def _leader_of(i: int, xs: Sequence[float], ys: Sequence[float], half: float) -> int:
+    """Index of vehicle i's leader, -1 where it has none: the vehicle with the
+    smallest dx = xs[j] - xs[i] > 0 less than half a lane away laterally. The
+    strict `dx < best` keeps the lowest index on equal (or equally rounded) dx."""
+    xi = xs[i]
+    yi = ys[i]
+    leader = -1
+    best = math.inf
+    for j, x in enumerate(xs):
+        dx = x - xi
+        if 0.0 < dx < best and -half < ys[j] - yi < half:
+            leader = j
+            best = dx
     return leader
+
+
+def _leaders(xs: Sequence[float], ys: Sequence[float], half: float) -> list[int]:
+    """`_leader_of` every vehicle, in O(n^2): the sub-steps no certificate covers."""
+    return [_leader_of(i, xs, ys, half) for i in range(len(xs))]
 
 
 def _overlapping(
@@ -309,7 +284,9 @@ def _certificate(
     clearance above a margin, and a pair that may close it within `steps`,
     by |dv| * DT * steps + A_MAX * DT^2 * steps(steps+1), is watched; a
     crashed vehicle's speed counts as 0 whatever it stores, and clamping
-    speeds into [0, V_LIMIT] only brings them closer.
+    speeds into [0, V_LIMIT] only brings them closer. Two crashed vehicles
+    more than the margin apart in x are exempt, overlapping or not: neither
+    moves again, and the lane's x order stays the leader rule's.
     """
     movers = [] if ys == target_ys else [
         i for i, y in enumerate(ys) if y != target_ys[i] and not crashed[i]
@@ -375,6 +352,8 @@ def _certificate(
     reserve = A_MAX * DT * DT * steps * (steps + 1) + margin
     watch = []
     for j, i in pairs:
+        if crashed[i] and crashed[j] and xs[i] - xs[j] > margin:
+            continue
         bumpers = 0.5 * (lengths[i] + lengths[j])
         clearance = xs[i] - xs[j] - bumpers
         dv = vs[i] - vs[j]
@@ -511,25 +490,18 @@ class HighwayEnv:
         return max(0, min(self.road.lane_count - 1, lane))
 
     def ego_leader_gap(self) -> float | None:
-        """Bumper gap to the ego's current leader, None when unconstrained;
-        the leader is the one `_leaders` picks, found by one scan."""
-        ego = self.ego
+        """Bumper gap to the ego's current leader, None when unconstrained."""
+        vehicles = self.vehicles
         half = 0.5 * self.road.lane_width
-        leader = None
-        best_dx = math.inf
-        for other in self._traffic:
-            dx = other.x - ego.x
-            dy = other.y - ego.y
-            if 0.0 < dx < best_dx and -half < dy < half:
-                leader, best_dx = other, dx
-        if leader is None:
+        leader = _leader_of(0, [v.x for v in vehicles], [v.y for v in vehicles], half)
+        if leader < 0:
             return None
-        gap = _bumper_gap(ego, leader)
+        gap = _bumper_gap(vehicles[0], vehicles[leader])
         return gap if gap > 0.0 else None
 
     # -- episode control ----------------------------------------------------
 
-    def reset(self, seed: int, road: RoadConfig | None = None) -> np.ndarray:
+    def reset(self, seed: int) -> np.ndarray:
         """Spawn a fresh episode; identical (seed, road) gives identical state.
 
         The ego starts at x = 0 at 25 m/s: in the ramp lane for the merge
@@ -539,8 +511,6 @@ class HighwayEnv:
         unconstrained. Draw order (ego lane, then per vehicle lane/x until the
         spacing fits, then speed) is part of the determinism contract.
         """
-        if road is not None:
-            self.road = road
         rng = np.random.default_rng(seed)
         ramp = self.road.ramp_lane
 
@@ -732,7 +702,7 @@ class HighwayEnv:
                 order, xs, ys, vs, lengths, widths, crashed, target_ys, half, SUBSTEPS - step
             )
             if leaders is None:
-                leaders = _leaders(order, xs, ys, half)
+                leaders = _leaders(xs, ys, half)
             leaders[0] = -1  # the ego tracks its target speed whatever leads it
             plan = [
                 (i, j, 0.5 * (lengths[j] + lengths[i]), target_speeds[i], on_ramp[i], queues[i])
