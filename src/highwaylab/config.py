@@ -25,7 +25,7 @@ from typing import Any
 
 from .dqn import DqnConfig
 from .env import DEFAULT_HORIZON, DEFAULT_N_TRAFFIC, SCENARIO_HIGHWAY, GhrParams, RoadConfig
-from .errors import ConfigError
+from .errors import ConfigError, bound, check_bounds
 from .ppo import PpoConfig
 from .reward import RewardParams, RewardWeights
 from .rules import RuleParams
@@ -70,14 +70,10 @@ _PARSERS = {
 class EnvSettings:
     road: RoadConfig
     ghr: GhrParams
-    n_traffic: int = DEFAULT_N_TRAFFIC
-    horizon_steps: int = DEFAULT_HORIZON
+    n_traffic: int = bound(DEFAULT_N_TRAFFIC, 0)
+    horizon_steps: int = bound(DEFAULT_HORIZON, 1)
 
-    def __post_init__(self) -> None:
-        if self.n_traffic < 0:
-            raise ValueError("n_traffic must be >= 0")
-        if self.horizon_steps < 1:
-            raise ValueError("horizon_steps must be >= 1")
+    __post_init__ = check_bounds
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -85,9 +81,9 @@ class ExperimentConfig:
     agent: str
     scenario: str = SCENARIO_HIGHWAY
     seeds: tuple[int, ...] = (0,)
-    total_env_steps: int = 50_000
-    eval_every: int = 5_000
-    eval_episodes: int = 10
+    total_env_steps: int = bound(50_000, 0)
+    eval_every: int = bound(5_000, 1)
+    eval_episodes: int = bound(10, 1)
     dqn_checkpoint: str = ""
     ppo_checkpoint: str = ""
     env: EnvSettings
@@ -101,12 +97,7 @@ class ExperimentConfig:
         object.__setattr__(self, "agent", self.agent.lower())
         if self.agent not in AGENTS:
             raise ValueError(f"agent must be one of {AGENTS}, got {self.agent!r}")
-        if self.total_env_steps < 0:
-            raise ValueError("total_env_steps must be >= 0")
-        if self.eval_every < 1:
-            raise ValueError("eval_every must be >= 1")
-        if self.eval_episodes < 1:
-            raise ValueError("eval_episodes must be >= 1")
+        check_bounds(self)
         if any(s < 0 for s in self.seeds):
             raise ValueError("seeds must be non-negative")
 

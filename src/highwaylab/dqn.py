@@ -15,7 +15,7 @@ import numpy as np
 
 from .actions import N_ACTIONS
 from .env import OBS_DIM
-from .errors import TrainingDivergenceError
+from .errors import TrainingDivergenceError, bound, check_bounds
 from .nets import (
     AdamState,
     CheckpointedLearner,
@@ -35,38 +35,26 @@ MAX_BUFFER_CAPACITY = 1_000_000  # transitions; 417 bytes each at OBS_DIM 25
 
 @dataclass(frozen=True)
 class DqnConfig:
-    gamma: float = 0.99
-    learning_rate: float = 0.001
+    gamma: float = bound(0.99, 0, 1)
+    learning_rate: float = bound(0.001, 0, strict=True)
     batch_size: int = 64
     buffer_capacity: int = 50_000
-    target_sync_every: int = 1000
+    target_sync_every: int = bound(1000, 1)
     target_sync_unit: str = "gradient"  # "gradient" or "env"
-    epsilon_start: float = 1.0
-    epsilon_end: float = 0.05
-    epsilon_decay_steps: int = 10_000
-    learn_start: int = 1000
+    epsilon_start: float = bound(1.0, 0, 1)
+    epsilon_end: float = bound(0.05, 0, 1)
+    epsilon_decay_steps: int = bound(10_000, 1)
+    learn_start: int = bound(1000, 1)
     hidden_sizes: tuple[int, ...] = (128, 128)
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.gamma <= 1.0:
-            raise ValueError("gamma must be in [0, 1]")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be > 0")
+        check_bounds(self)
         if self.batch_size < 1 or self.batch_size > self.buffer_capacity:
             raise ValueError("need 1 <= batch_size <= buffer_capacity")
         if self.buffer_capacity > MAX_BUFFER_CAPACITY:
             raise ValueError(f"buffer_capacity must be <= {MAX_BUFFER_CAPACITY}")
-        if self.target_sync_every < 1:
-            raise ValueError("target_sync_every must be >= 1")
         if self.target_sync_unit not in ("gradient", "env"):
             raise ValueError("target_sync_unit must be 'gradient' or 'env'")
-        for name in ("epsilon_start", "epsilon_end"):
-            if not 0.0 <= getattr(self, name) <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1]")
-        if self.epsilon_decay_steps < 1:
-            raise ValueError("epsilon_decay_steps must be >= 1")
-        if self.learn_start < 1:
-            raise ValueError("learn_start must be >= 1")
         hidden = check_hidden_sizes(self.hidden_sizes, OBS_DIM, N_ACTIONS)
         object.__setattr__(self, "hidden_sizes", hidden)
 

@@ -33,7 +33,7 @@ from typing import Sequence
 import numpy as np
 
 from .actions import EgoAction
-from .errors import ConfigError, EnvStateError, EpisodeFinishedError
+from .errors import ConfigError, EnvStateError, EpisodeFinishedError, bound, check_bounds
 from .reward import (
     EgoPeriodView,
     RewardBreakdown,
@@ -79,19 +79,14 @@ SCENARIO_MERGE = "merge"
 
 @dataclass(frozen=True)
 class RoadConfig:
-    lane_count: int = 3
-    lane_width: float = 4.0
-    road_length: float = 1000.0
+    lane_count: int = bound(3, 2)
+    lane_width: float = bound(4.0, 0, strict=True)
+    road_length: float = bound(1000.0, 0, strict=True)
     scenario: str = SCENARIO_HIGHWAY
     merge_ramp_end_x: float = 300.0
 
     def __post_init__(self) -> None:
-        if self.lane_count < 2:
-            raise ValueError("lane_count must be >= 2")
-        if self.lane_width <= 0:
-            raise ValueError("lane_width must be > 0")
-        if self.road_length <= 0:
-            raise ValueError("road_length must be > 0")
+        check_bounds(self)
         if self.scenario not in (SCENARIO_HIGHWAY, SCENARIO_MERGE):
             raise ValueError(f"unknown scenario {self.scenario!r}")
         if self.scenario == SCENARIO_MERGE and not (
@@ -117,23 +112,16 @@ class RoadConfig:
 class GhrParams:
     """Gazis-Herman-Rothery law a = c * v_f^m * (v_l - v_f) / gap^l."""
 
-    c: float = 15.0
-    m: float = 0.0
-    l: float = 2.0
-    tau: float = 0.0  # reaction delay, s, rounded to whole sub-steps
+    c: float = bound(15.0, 0, strict=True)
+    m: float = bound(0.0, 0)  # a stopped follower would divide by 0.0**m if m < 0
+    l: float = bound(2.0, 0)
+    tau: float = bound(0.0, 0)  # reaction delay, s, rounded to whole sub-steps
 
     def __post_init__(self) -> None:
         for name in ("c", "m", "l", "tau"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
-        if self.c <= 0:
-            raise ValueError("c must be > 0")
-        if self.m < 0:  # a stopped follower would divide by 0.0**m
-            raise ValueError("m must be >= 0")
-        if self.l < 0:
-            raise ValueError("l must be >= 0")
-        if self.tau < 0:
-            raise ValueError("tau must be >= 0")
+        check_bounds(self)
         if self.tau / DT > MAX_DELAY_SUBSTEPS:
             raise ValueError(f"tau must be <= {MAX_DELAY_SUBSTEPS * DT:g} s")
 

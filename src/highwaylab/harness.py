@@ -152,8 +152,7 @@ class FaultLog:
     period per step while a fault is open, the opening step included.
     """
 
-    def __init__(self, period_s: float = DECISION_PERIOD):
-        self.period_s = period_s
+    def __init__(self):
         self.count = 0
         self.duration_s = 0.0
         self.rows: list[tuple[int, int, float]] = []
@@ -164,7 +163,7 @@ class FaultLog:
             self._open = True
             self.count += 1
         if self._open:
-            self.duration_s += self.period_s
+            self.duration_s += DECISION_PERIOD
         self.rows.append((global_step, self.count, self.duration_s))
 
     def episode_reset(self) -> None:
@@ -214,11 +213,10 @@ class TrainRecorder:
 
 
 class RandomPolicy:
-    """Seeded uniform actions; deterministic per evaluation episode."""
+    """Uniform actions from a stream that ``reset`` seeds for each episode."""
 
-    def __init__(self, stream_seed: int = 0, tag: int = _TAG_RANDOM_EVAL):
+    def __init__(self, tag: int = _TAG_RANDOM_EVAL):
         self._tag = tag
-        self._rng = np.random.default_rng(derive_seed(stream_seed, tag))
 
     def reset(self, episode_seed: int, env: HighwayEnv) -> None:
         self._rng = np.random.default_rng(derive_seed(episode_seed, self._tag))
@@ -359,7 +357,7 @@ class TrainingRun:
             if agent == "rules":
                 policy = RulePolicy(config)
             else:
-                policy = RandomPolicy(run_seed, tag=_TAG_RANDOM_TRAIN)
+                policy = RandomPolicy(tag=_TAG_RANDOM_TRAIN)
             policy_seed = functools.partial(derive_seed, run_seed)
             self.driver = EpisodeDriver(env, policy, episode_seed, policy_seed, self._on_step)
         self.driver.reset()

@@ -105,18 +105,16 @@ class ParameterSet:
     """Immutable flat float64 parameter vector in the canonical layout."""
 
     values: np.ndarray
-    version: int = PARAMS_FORMAT_VERSION
 
     def __post_init__(self) -> None:
         v = np.array(self.values, dtype=np.float64).ravel()
         object.__setattr__(self, "values", _freeze_finite(v))
 
     @classmethod
-    def _adopt(cls, values: np.ndarray, version: int) -> "ParameterSet":
+    def _adopt(cls, values: np.ndarray) -> "ParameterSet":
         """Wrap a fresh float64 vector that no one else references, without copying it."""
         params = object.__new__(cls)
         object.__setattr__(params, "values", _freeze_finite(values))
-        object.__setattr__(params, "version", version)
         return params
 
     def __len__(self) -> int:
@@ -287,7 +285,7 @@ def adam_step(
     scratch /= new_values
     np.subtract(params.values, scratch, out=new_values)
     try:
-        new_params = ParameterSet._adopt(new_values, params.version)
+        new_params = ParameterSet._adopt(new_values)
     except ValueError:
         raise TrainingDivergenceError("Adam update overflowed to non-finite parameters") from None
     return new_params, replace(state, t=t)
@@ -399,7 +397,7 @@ def network_to_bytes(spec: NetworkSpec, params: ParameterSet) -> bytes:
         )
     buf = bytearray()
     buf += _MAGIC_NETWORK
-    buf += struct.pack("<I", params.version)
+    buf += struct.pack("<I", PARAMS_FORMAT_VERSION)
     buf += struct.pack("<I", len(spec.layer_sizes))
     buf += struct.pack(f"<{len(spec.layer_sizes)}I", *spec.layer_sizes)
     buf += struct.pack("<I", _ACTIVATION_CODES[spec.activation])
@@ -469,7 +467,7 @@ def network_from_bytes(data: bytes) -> tuple[NetworkSpec, ParameterSet]:
                 f"network checkpoint: {count} parameters but spec needs {spec.n_params}"
             )
         values = np.frombuffer(raw, dtype="<f8").astype(np.float64)
-        return spec, ParameterSet(values, version=version)
+        return spec, ParameterSet(values)
     except ValueError as exc:  # a layer size of 0 or a non-finite parameter
         raise CheckpointFormatError(f"network checkpoint: {exc}") from None
 

@@ -25,7 +25,7 @@ import numpy as np
 from .actions import N_ACTIONS
 from .env import OBS_DIM
 from .episodes import EpisodeDriver
-from .errors import TrainingDivergenceError
+from .errors import TrainingDivergenceError, bound, check_bounds
 from .nets import (
     AdamState,
     CheckpointedLearner,
@@ -46,37 +46,28 @@ MAX_ROLLOUT_LENGTH = 1_000_000  # steps; a rollout keeps 242 bytes per step at O
 
 @dataclass(frozen=True)
 class PpoConfig:
-    clip_epsilon: float = 0.2
-    gae_lambda: float = 0.95
-    gamma: float = 0.99
+    clip_epsilon: float = bound(0.2, 0, 1, strict=True)
+    gae_lambda: float = bound(0.95, 0, 1)
+    gamma: float = bound(0.99, 0, 1)
     rollout_length: int = 2048
-    epochs: int = 10
+    epochs: int = bound(10, 0)
     minibatch_size: int = 256
     policy_lr: float = 0.0003
     value_lr: float = 0.001
-    entropy_coef: float = 0.01
+    entropy_coef: float = bound(0.01, 0)
     normalize_advantages: bool = True
     hidden_sizes: tuple[int, ...] = (128, 128)
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.clip_epsilon < 1.0:
-            raise ValueError("clip_epsilon must be in (0, 1)")
-        if not 0.0 <= self.gae_lambda <= 1.0:
-            raise ValueError("gae_lambda must be in [0, 1]")
-        if not 0.0 <= self.gamma <= 1.0:
-            raise ValueError("gamma must be in [0, 1]")
+        check_bounds(self)
         if self.rollout_length < 1 or self.minibatch_size < 1:
             raise ValueError("rollout_length and minibatch_size must be >= 1")
         if self.rollout_length % self.minibatch_size != 0:
             raise ValueError("rollout_length must be divisible by minibatch_size")
         if self.rollout_length > MAX_ROLLOUT_LENGTH:
             raise ValueError(f"rollout_length must be <= {MAX_ROLLOUT_LENGTH}")
-        if self.epochs < 0:
-            raise ValueError("epochs must be >= 0")
         if self.policy_lr <= 0 or self.value_lr <= 0:
             raise ValueError("learning rates must be > 0")
-        if self.entropy_coef < 0:
-            raise ValueError("entropy_coef must be >= 0")
         hidden = check_hidden_sizes(self.hidden_sizes, OBS_DIM, N_ACTIONS)
         object.__setattr__(self, "hidden_sizes", hidden)
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .actions import EgoAction
+from .errors import bound, check_bounds
 
 
 @dataclass(frozen=True)
@@ -31,19 +32,14 @@ class RewardWeights:
 class RewardParams:
     """Thresholds for the individual terms."""
 
-    tau_safe: float = 1.5  # safe time headway, s
-    a_max: float = 5.0  # acceleration scale, m/s^2
-    kappa_lane_change: float = 0.1  # flat cost per initiated lane change
+    tau_safe: float = bound(1.5, 0, strict=True)  # safe time headway, s
+    a_max: float = bound(5.0, 0, strict=True)  # acceleration scale, m/s^2
+    kappa_lane_change: float = bound(0.1, 0)  # flat cost per initiated lane change
     v_min: float = 20.0  # m/s, zero-efficiency speed
     v_max: float = 30.0  # m/s, full-efficiency speed
 
     def __post_init__(self) -> None:
-        if self.tau_safe <= 0:
-            raise ValueError("tau_safe must be > 0")
-        if self.a_max <= 0:
-            raise ValueError("a_max must be > 0")
-        if self.kappa_lane_change < 0:
-            raise ValueError("kappa_lane_change must be >= 0")
+        check_bounds(self)
         if not 0 < self.v_min < self.v_max:
             raise ValueError("need 0 < v_min < v_max")
 

@@ -20,6 +20,7 @@ import numpy as np
 
 from .actions import EgoAction
 from .env import K_NEAREST, OBS_RANGE_V, OBS_RANGE_X, OBS_RANGE_Y, OBS_ROW, VEHICLE_LENGTH
+from .errors import bound, check_bounds
 
 
 class FsmState(Enum):
@@ -30,20 +31,13 @@ class FsmState(Enum):
 
 @dataclass(frozen=True)
 class RuleParams:
-    headway_change_trigger: float = 2.0  # s; consider changing lanes below this
-    gap_accept_front: float = 15.0  # m, bumper gap ahead in the target lane
-    gap_accept_rear: float = 10.0  # m, bumper gap behind in the target lane
-    speed_advantage_min: float = 2.0  # m/s; target-lane leader must beat ego by this
+    headway_change_trigger: float = bound(2.0, 0, strict=True)  # s; consider a change below
+    gap_accept_front: float = bound(15.0, 0, strict=True)  # m, bumper gap ahead in the target lane
+    gap_accept_rear: float = bound(10.0, 0, strict=True)  # m, bumper gap behind in the target lane
+    # m/s; the target-lane leader must beat the ego by this
+    speed_advantage_min: float = bound(2.0, 0, strict=True)
 
-    def __post_init__(self) -> None:
-        for name in (
-            "headway_change_trigger",
-            "gap_accept_front",
-            "gap_accept_rear",
-            "speed_advantage_min",
-        ):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be > 0")
+    __post_init__ = check_bounds
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,9 @@
 
 import hashlib
 import json
+import math
 import random
-from dataclasses import MISSING, asdict, fields
+from dataclasses import MISSING, asdict, fields, replace
 from pathlib import Path
 
 import pytest
@@ -230,6 +231,51 @@ def test_mutated_configs_parse_or_raise_config_error():
     assert parsed > 250 and rejected > 2000
 
 
+# Values at and just past the numeric edges the invariants draw, and words
+# that are valid for some keys, on top of FUZZ_VALUES.
+EDGE_VALUES = [
+    "3", "1.5", "0.99", "1.01", "-0.5", "1e-9", "2048", "100", "gradient", "env", "highway",
+    "1000001", "1e30",
+]  # fmt: skip
+
+
+def _with_key(text: str, section: str, key: str, value: str) -> str:
+    """``text`` with ``key = value`` in ``[section]``: the key's line replaced
+    when the section has one, else inserted under the header (added if absent)."""
+    lines = text.splitlines()
+    header = f"[{section}]"
+    if header not in lines:
+        return "\n".join([*lines, header, f"{key} = {value}"])
+    start = lines.index(header) + 1
+    end = next((i for i in range(start, len(lines)) if lines[i].startswith("[")), len(lines))
+    at = [i for i in range(start, end) if lines[i].partition("=")[0].strip() == key]
+    if at:
+        lines[at[0]] = f"{key} = {value}"
+    else:
+        lines.insert(start, f"{key} = {value}")
+    return "\n".join(lines)
+
+
+def test_one_mutation_messages_are_pinned():
+    # Every shipped config with one key set to each value: whether it parses,
+    # and each error's exact text, file line included. The invariant messages
+    # are part of the interface, so any change to one shows here.
+    outcomes = []
+    for path in sorted(CONFIGS.glob("*.ini")):
+        text = path.read_text()
+        for section, keys in SCHEMA.items():
+            for key in keys:
+                for value in FUZZ_VALUES + EDGE_VALUES:
+                    try:
+                        parse_config(_with_key(text, section, key, value), origin=path.name)
+                        outcomes.append("ok")
+                    except ConfigError as exc:
+                        outcomes.append(str(exc))
+    assert len(outcomes) == 11_024
+    digest = "31b68671b09d74b1d63181a5cb0614be558e12f467d1d3d3bc7e3755ba59425b"
+    assert sha256(json.dumps(outcomes)) == digest
+
+
 # The widest single hidden layer whose network stays within the parameter bound.
 WIDEST = (MAX_NETWORK_PARAMETERS - N_ACTIONS) // (OBS_DIM + 1 + N_ACTIONS)
 
@@ -337,3 +383,100 @@ class TestHelp:
             assert f"[{section}]" in text
         assert "clip_epsilon" in text
         assert "headway_change_trigger" in text
+
+
+# One default instance of each dataclass whose fields the config keys fill.
+_DEFAULTS = parse_config(MINIMAL)
+KEY_DATACLASSES = {
+    type(obj): obj
+    for obj in (
+        _DEFAULTS,
+        _DEFAULTS.env,
+        _DEFAULTS.env.road,
+        _DEFAULTS.env.ghr,
+        _DEFAULTS.weights,
+        _DEFAULTS.reward_params,
+        _DEFAULTS.dqn,
+        _DEFAULTS.ppo,
+        _DEFAULTS.rules,
+    )
+}
+
+# Numeric fields whose checks span several fields (or word their message in
+# their own way), so they declare no bound of their own.
+MULTI_FIELD_CHECKS = {
+    (DqnConfig, "batch_size"),
+    (DqnConfig, "buffer_capacity"),
+    (PpoConfig, "rollout_length"),
+    (PpoConfig, "minibatch_size"),
+    (PpoConfig, "policy_lr"),
+    (PpoConfig, "value_lr"),
+    (RewardWeights, "safety"),
+    (RewardWeights, "comfort"),
+    (RewardWeights, "efficiency"),
+    (RewardParams, "v_min"),
+    (RewardParams, "v_max"),
+    (RoadConfig, "merge_ramp_end_x"),
+}
+
+BOUNDED = [
+    pytest.param(cls, field, id=f"{cls.__name__}.{field.name}")
+    for cls in KEY_DATACLASSES
+    for field in fields(cls)
+    if "bound" in field.metadata
+]
+
+
+def _step(value, toward: float, is_int: bool):
+    """The next value after ``value`` in the direction of ``toward``."""
+    if is_int:
+        return value + (1 if toward > value else -1)
+    return math.nextafter(value, toward)
+
+
+class TestDeclaredBounds:
+    @pytest.mark.parametrize("cls, field", BOUNDED)
+    def test_edges_build_and_values_past_them_raise(self, cls, field):
+        low, high, strict = field.metadata["bound"]
+        is_int = field.type == "int"
+        if high is None:
+            text = f"> {low}" if strict else f">= {low}"
+        else:
+            text = f"in ({low}, {high})" if strict else f"in [{low}, {high}]"
+        edges = [(low, -math.inf)] + ([] if high is None else [(high, math.inf)])
+        for edge, outward in edges:
+            inside = _step(edge, -outward, is_int) if strict else edge
+            outside = edge if strict else _step(edge, outward, is_int)
+            built = replace(KEY_DATACLASSES[cls], **{field.name: inside})
+            assert getattr(built, field.name) == inside
+            with pytest.raises(ValueError) as exc:
+                replace(KEY_DATACLASSES[cls], **{field.name: outside})
+            assert str(exc.value) == f"{field.name} must be {text}"
+
+    @pytest.mark.parametrize("cls, field", BOUNDED)
+    def test_nan_is_outside_every_bound(self, cls, field):
+        with pytest.raises(ValueError):
+            replace(KEY_DATACLASSES[cls], **{field.name: math.nan})
+
+    @pytest.mark.parametrize(
+        "cls, name, message",
+        [
+            (DqnConfig, "learning_rate", "learning_rate must be > 0"),
+            (RewardParams, "tau_safe", "tau_safe must be > 0"),
+            (RuleParams, "gap_accept_front", "gap_accept_front must be > 0"),
+        ],
+    )
+    def test_nan_built_directly_is_refused(self, cls, name, message):
+        # The parser refuses "nan" before any dataclass sees it; a dataclass
+        # built directly must refuse it too.
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            cls(**{name: math.nan})
+
+    def test_every_numeric_key_declares_a_bound_or_a_multi_field_check(self):
+        for cls in KEY_DATACLASSES:
+            for field in fields(cls):
+                if field.type not in ("int", "float"):
+                    continue
+                bounded = "bound" in field.metadata
+                multi = (cls, field.name) in MULTI_FIELD_CHECKS
+                assert bounded != multi, f"{cls.__name__}.{field.name}: bounded={bounded}"

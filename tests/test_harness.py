@@ -125,7 +125,7 @@ class TestFormatting:
 
 class TestFaultLog:
     def test_monotone_and_duration_only_while_open(self):
-        log = FaultLog(period_s=1.0)
+        log = FaultLog()
         log.record_step(1, False)
         log.record_step(2, True)
         log.record_step(3, True)
