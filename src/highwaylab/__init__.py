@@ -35,8 +35,6 @@ from .nets import (
     forward,
     gradient_check,
     init_params,
-    load_params,
-    save_params,
 )
 from .ppo import PpoConfig, PpoLearner, RolloutBatch, RolloutCollector, compute_gae
 from .reward import (

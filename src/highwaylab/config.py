@@ -34,15 +34,6 @@ AGENTS = ("dqn", "ppo", "rules", "random")
 SCENARIOS = ("highway", "merge")
 
 
-def _parse_bool(raw: str) -> bool:
-    low = raw.strip().lower()
-    if low in ("true", "yes", "on", "1"):
-        return True
-    if low in ("false", "no", "off", "0"):
-        return False
-    raise ValueError(f"expected a boolean, got {raw!r}")
-
-
 def _parse_float(raw: str) -> float:
     value = float(raw)
     if not math.isfinite(value):
@@ -60,7 +51,6 @@ def _parse_int_list(raw: str) -> tuple[int, ...]:
 _PARSERS = {
     "int": int,
     "float": _parse_float,
-    "bool": _parse_bool,
     "str": lambda raw: raw.strip(),
     "int_list": _parse_int_list,
 }
@@ -100,6 +90,9 @@ class ExperimentConfig:
         check_bounds(self)
         if any(s < 0 for s in self.seeds):
             raise ValueError("seeds must be non-negative")
+        # Each seed trains into its own seed_<n> directory.
+        if len(set(self.seeds)) != len(self.seeds):
+            raise ValueError("seeds must be distinct")
 
 
 # The dataclasses whose fields each section's keys fill; a key is its
@@ -152,8 +145,7 @@ _HELP: dict[str, dict[str, str]] = {
         "learning_rate": "Adam learning rate",
         "batch_size": "replay minibatch size",
         "buffer_capacity": "replay ring-buffer capacity",
-        "target_sync_every": "steps between hard target syncs",
-        "target_sync_unit": "sync counter: 'gradient' or 'env'",
+        "target_sync_every": "gradient steps between hard target syncs",
         "epsilon_start": "initial exploration rate",
         "epsilon_end": "final exploration rate",
         "epsilon_decay_steps": "env steps of linear epsilon decay",
@@ -170,7 +162,6 @@ _HELP: dict[str, dict[str, str]] = {
         "policy_lr": "policy Adam learning rate",
         "value_lr": "value Adam learning rate",
         "entropy_coef": "entropy bonus weight (0 disables)",
-        "normalize_advantages": "normalize advantages per rollout",
         "hidden_sizes": "hidden layer widths",
     },
     "rules": {
@@ -191,7 +182,7 @@ def _schema() -> dict[str, dict[str, tuple[str, Any, str]]]:
         for key, help_text in keys.items():
             field = named[key]
             default = None if field.default is MISSING else field.default
-            # field.type is the annotation as a string: "int", "float", "bool", "str"
+            # field.type is the annotation as a string: "int", "float", "str"
             kind = "int_list" if field.type == "tuple[int, ...]" else field.type
             schema[section][key] = (kind, default, help_text)
     return schema

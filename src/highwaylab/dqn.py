@@ -40,7 +40,6 @@ class DqnConfig:
     batch_size: int = 64
     buffer_capacity: int = 50_000
     target_sync_every: int = bound(1000, 1)
-    target_sync_unit: str = "gradient"  # "gradient" or "env"
     epsilon_start: float = bound(1.0, 0, 1)
     epsilon_end: float = bound(0.05, 0, 1)
     epsilon_decay_steps: int = bound(10_000, 1)
@@ -53,8 +52,10 @@ class DqnConfig:
             raise ValueError("need 1 <= batch_size <= buffer_capacity")
         if self.buffer_capacity > MAX_BUFFER_CAPACITY:
             raise ValueError(f"buffer_capacity must be <= {MAX_BUFFER_CAPACITY}")
-        if self.target_sync_unit not in ("gradient", "env"):
-            raise ValueError("target_sync_unit must be 'gradient' or 'env'")
+        # The buffer never holds more than its capacity, so a larger
+        # learn_start would never let train_step learn.
+        if self.learn_start > self.buffer_capacity:
+            raise ValueError("need learn_start <= buffer_capacity")
         hidden = check_hidden_sizes(self.hidden_sizes, OBS_DIM, N_ACTIONS)
         object.__setattr__(self, "hidden_sizes", hidden)
 
@@ -227,10 +228,7 @@ class DqnLearner(CheckpointedLearner):
             loss, grad = loss_and_gradient(batch, self.spec, self.params, targets)
             self.params, self.adam = adam_step(self.adam, self.params, grad)
             self.grad_steps += 1
-            counter = (
-                self.grad_steps if self.config.target_sync_unit == "gradient" else self.env_steps
-            )
-            if counter % self.config.target_sync_every == 0:
+            if self.grad_steps % self.config.target_sync_every == 0:
                 self.sync_target()
         return {
             "skipped": skipped,

@@ -136,7 +136,7 @@ class VehicleState:
     length: float = VEHICLE_LENGTH
     width: float = VEHICLE_WIDTH
     crashed: bool = False
-    target_speed: float = EGO_SPAWN_SPEED  # tracked when no leader constrains
+    target_speed: float = EGO_SPAWN_SPEED  # tracked without a leader; FASTER/SLOWER set the ego's
 
 
 @dataclass(frozen=True)
@@ -439,7 +439,6 @@ class HighwayEnv:
         self._traffic: list[VehicleState] = []
         self._delay_queues: list[deque] = []
         self._delay_substeps = 0
-        self._ego_target_speed = EGO_SPAWN_SPEED
         self._steps = 0
         self._substeps = 0
         self._off_road = False
@@ -467,7 +466,7 @@ class HighwayEnv:
 
     @property
     def ego_target_speed(self) -> float:
-        return self._ego_target_speed
+        return self.ego.target_speed
 
     @property
     def episode_active(self) -> bool:
@@ -513,7 +512,6 @@ class HighwayEnv:
             lane_target=ego_lane,
             target_speed=EGO_SPAWN_SPEED,
         )
-        self._ego_target_speed = EGO_SPAWN_SPEED
 
         spawn_lanes = [l for l in range(self.road.lane_count) if l != ramp]
         x_high = min(TRAFFIC_SPAWN_X_HIGH, 0.5 * self.road.road_length)
@@ -588,14 +586,14 @@ class HighwayEnv:
         )
 
         if action == EgoAction.FASTER:
-            self._ego_target_speed = _clamp(
-                self._ego_target_speed + TARGET_SPEED_STEP,
+            ego.target_speed = _clamp(
+                ego.target_speed + TARGET_SPEED_STEP,
                 TARGET_SPEED_MIN,
                 TARGET_SPEED_MAX,
             )
         elif action == EgoAction.SLOWER:
-            self._ego_target_speed = _clamp(
-                self._ego_target_speed - TARGET_SPEED_STEP,
+            ego.target_speed = _clamp(
+                ego.target_speed - TARGET_SPEED_STEP,
                 TARGET_SPEED_MIN,
                 TARGET_SPEED_MAX,
             )
@@ -669,7 +667,7 @@ class HighwayEnv:
         accs = [0.0 if v.crashed else v.a for v in vehicles]
         lengths = [v.length for v in vehicles]
         widths = [v.width for v in vehicles]
-        target_speeds = [self._ego_target_speed] + [v.target_speed for v in self._traffic]
+        target_speeds = [v.target_speed for v in vehicles]
 
         road = self.road
         half = 0.5 * lane_width

@@ -19,7 +19,7 @@ import math
 import os
 import struct
 import zlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
@@ -128,7 +128,7 @@ def _freeze_finite(values: np.ndarray) -> np.ndarray:
     return values
 
 
-@dataclass(frozen=True)
+@dataclass
 class AdamState:
     """Adam moment accumulators, advanced in place by adam_step()."""
 
@@ -246,13 +246,12 @@ def backward(
 def adam_step(
     state: AdamState, params: ParameterSet, gradient
 ) -> tuple[ParameterSet, AdamState]:
-    """One bias-corrected Adam update; returns fresh params and the next state.
+    """One bias-corrected Adam update; returns fresh params and ``state``.
 
-    The moments are updated in place: the state passed in is consumed, since
-    the returned state shares its ``m`` and ``v`` arrays. ``params`` is left
-    untouched. A rejected gradient changes nothing. An update that overflows
-    raises TrainingDivergenceError after the moments have advanced, so the
-    state passed in is spent then too.
+    ``state`` is advanced in place (``m``, ``v`` and ``t``) and returned as
+    the same object. ``params`` is left untouched. A rejected gradient
+    changes nothing. An update that overflows raises TrainingDivergenceError
+    after the state has advanced.
     """
     g = np.asarray(gradient, dtype=np.float64).ravel()
     if not g.shape == params.values.shape == state.m.shape == state.v.shape:
@@ -262,8 +261,8 @@ def adam_step(
         )
     if not np.all(np.isfinite(g)):
         raise TrainingDivergenceError("non-finite entries in gradient")
-    t = state.t + 1
-    m, v = state.m, state.v
+    state.t += 1
+    t, m, v = state.t, state.m, state.v
     scratch = np.empty_like(g)
     new_values = np.empty_like(g)
     # Same operations in the same order as the textbook expressions
@@ -288,7 +287,7 @@ def adam_step(
         new_params = ParameterSet._adopt(new_values)
     except ValueError:
         raise TrainingDivergenceError("Adam update overflowed to non-finite parameters") from None
-    return new_params, replace(state, t=t)
+    return new_params, state
 
 
 Probe = Callable[[np.ndarray], tuple[float, np.ndarray]]
@@ -368,17 +367,10 @@ def log_softmax(logits, axis: int = -1) -> np.ndarray:
     return s - np.log(np.exp(s).sum(axis=axis, keepdims=True))
 
 
-def categorical_entropy(logits, axis: int = -1) -> np.ndarray:
-    """Entropy in nats of softmax(logits) along the given axis."""
-    logp = log_softmax(logits, axis=axis)
-    p = np.exp(logp)
-    return -(p * logp).sum(axis=axis)
-
-
 # ---------------------------------------------------------------------------
 # Checkpoint format
 #
-# Single network file ("HRLL"):
+# Network section ("HRLL"), the encoding of each network inside an archive:
 #   magic "HRLL" | version u32 | layer_count u32 | sizes u32[layer_count]
 #   | activation u32 | param_count u64 | params f64[param_count] | crc32 u32
 # All integers and floats little-endian; the CRC32 covers every byte before it.
@@ -486,15 +478,6 @@ def _replace_file(path, data: bytes) -> None:
         with contextlib.suppress(OSError):
             os.remove(tmp)
         raise
-
-
-def save_params(path, spec: NetworkSpec, params: ParameterSet) -> None:
-    _replace_file(path, network_to_bytes(spec, params))
-
-
-def load_params(path) -> tuple[NetworkSpec, ParameterSet]:
-    with open(path, "rb") as f:
-        return network_from_bytes(f.read())
 
 
 def write_archive(path, sections: list[tuple[str, bytes]]) -> None:

@@ -9,7 +9,7 @@ residuals
     A_t     = delta_t + gamma * lam * (0 if episode_end_t else A_{t+1})
 
 computed backward per episode segment. Value targets are ``A_t + V(s_t)``
-using the raw advantages; optional per-rollout normalization applies to the
+using the raw advantages; per-rollout normalization applies to the
 advantages only. The policy objective is the pessimistic clipped surrogate
 plus an entropy bonus, maximized with Adam; the value head minimizes mean
 squared error against the frozen targets.
@@ -55,7 +55,6 @@ class PpoConfig:
     policy_lr: float = 0.0003
     value_lr: float = 0.001
     entropy_coef: float = bound(0.01, 0)
-    normalize_advantages: bool = True
     hidden_sizes: tuple[int, ...] = (128, 128)
 
     def __post_init__(self) -> None:
@@ -321,12 +320,7 @@ class PpoLearner(CheckpointedLearner):
 
     def prepare(self, batch: RolloutBatch) -> RolloutBatch:
         """Fill advantages and value targets in place and return the batch."""
-        adv, targets = compute_gae(
-            batch,
-            self.config.gamma,
-            self.config.gae_lambda,
-            normalize=self.config.normalize_advantages,
-        )
+        adv, targets = compute_gae(batch, self.config.gamma, self.config.gae_lambda)
         batch.advantages = adv
         batch.value_targets = targets
         return batch

@@ -177,7 +177,7 @@ class ReferenceHighwayEnv(HighwayEnv):
         elif self._forced_ramp_brake(ego):
             ego.a = -A_MAX
         else:
-            ego.a = self._speed_tracking(ego.v, self._ego_target_speed)
+            ego.a = self._speed_tracking(ego.v, ego.target_speed)
 
         for idx, vehicle in enumerate(self._traffic):
             if vehicle.crashed:

@@ -271,8 +271,8 @@ def test_one_mutation_messages_are_pinned():
                         outcomes.append("ok")
                     except ConfigError as exc:
                         outcomes.append(str(exc))
-    assert len(outcomes) == 11_024
-    digest = "31b68671b09d74b1d63181a5cb0614be558e12f467d1d3d3bc7e3755ba59425b"
+    assert len(outcomes) == 10_600
+    digest = "1239be26a60d759726be30ef26b559f0f84635fb4b66c0470920e5083ed70073"
     assert sha256(json.dumps(outcomes)) == digest
 
 
@@ -353,22 +353,22 @@ class TestOneSourceOfTruth:
                     filled[key] = field
             assert filled.keys() == keys.keys()
             for key, (kind, default, _) in keys.items():
-                assert kind in ("int", "float", "bool", "str", "int_list"), key
+                assert kind in ("int", "float", "str", "int_list"), key
                 field = filled[key]
                 assert default == (None if field.default is MISSING else field.default), key
 
     def test_describe_keys_is_pinned(self):
         # `highwaylab --help` prints this text: key order, types, defaults, help.
-        digest = "bef123dde4245d817068e64725ef269375db4ee176226e4b15f62be7be5a9e0e"
+        digest = "b8debb7647a54cd40d568e7adc227d8db3472db016dd92209adfea6aff4aedad"
         assert sha256(describe_keys()) == digest
 
     @pytest.mark.parametrize(
         "name, digest",
         [
-            ("highway_rules.ini", "4fed67c8f2ca5591c7c8b0407d81117a3a0cff0dbf5cda31d0a841de65fe29a1"),
-            ("merge_compare.ini", "62b9d265498496f87fa698aae130620774260cdd040754f375a818d6ed3f60d0"),
-            ("merge_dqn.ini", "bb826fae839952351198a0449d0ff01be08c3859304baab78bc1399a748922f9"),
-            ("merge_ppo.ini", "98359cc676b0aafdb8153c133150b4d4a43155451f346d908fb0274030090a9e"),
+            ("highway_rules.ini", "e5fa852ca545b4acd9f91f0d244df7594ee0af6973ee2907b89a0f29d62a36f6"),
+            ("merge_compare.ini", "7e88eeb9b44bc3a919d9e5a9f9aa2f8ad44c3b6290cbd3fe9bcf4472eff8dfb8"),
+            ("merge_dqn.ini", "2d8ddb6ad4cf094f0ae2993d8e3b3c5d271aa08ea3f0c6d2ee0eeade33b9fd14"),
+            ("merge_ppo.ini", "b40c07d15da55d61b75a4749ea038a81071284cdb46236433942eea8c2a93fb2"),
         ],
     )
     def test_shipped_config_parses_to_pinned_values(self, name, digest):

@@ -286,6 +286,19 @@ class TestLearner:
             assert np.array_equal(learner.target_params.values, frozen)
             assert not np.array_equal(learner.params.values, frozen)
 
+    def test_target_sync_counts_gradient_steps(self):
+        # 15 env steps are a multiple of sync_every (5); one gradient step is not.
+        rng = np.random.default_rng(3)
+        learner = DqnLearner(4, 3, self.small_config(), seed=1)
+        self.feed(learner, rng, 15)
+        frozen = learner.target_params
+        learner.train_step()
+        assert learner.target_params is frozen
+        for _ in range(4):  # the fifth gradient step syncs
+            learner.train_step()
+        assert (learner.env_steps, learner.grad_steps) == (15, 5)
+        assert learner.target_params is learner.params
+
     def test_hard_sync_copies_bitwise(self):
         rng = np.random.default_rng(3)
         learner = DqnLearner(4, 3, self.small_config(), seed=1)
@@ -374,5 +387,7 @@ class TestLearner:
             DqnConfig(batch_size=100, buffer_capacity=50)
         with pytest.raises(ValueError):
             DqnConfig(epsilon_start=2.0)
-        with pytest.raises(ValueError):
-            DqnConfig(target_sync_unit="minutes")
+        # The buffer never holds more than buffer_capacity transitions.
+        DqnConfig(batch_size=8, buffer_capacity=100, learn_start=100)
+        with pytest.raises(ValueError, match="need learn_start <= buffer_capacity"):
+            DqnConfig(batch_size=8, buffer_capacity=100, learn_start=101)

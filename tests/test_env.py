@@ -338,6 +338,12 @@ class TestStep:
             env2.step(EgoAction.SLOWER)
         assert env2.ego_target_speed == 10.0
 
+    def test_ego_vehicle_holds_the_commanded_target_speed(self):
+        env = empty_env()
+        env.step(EgoAction.FASTER)
+        env.step(EgoAction.FASTER)
+        assert env.ego.target_speed == env.ego_target_speed == 30.0
+
     def test_lane_change_slew_rate(self):
         env = empty_env(lane=0)
         ys = [env.ego.y]
@@ -555,7 +561,7 @@ def _ego_accelerating(env):
     # speed closes 10 m in a period, the acceleration 2.75 m more.
     env.ego.x = -500.0
     env.ego.v = 10.0
-    env._ego_target_speed = 30.0
+    env.ego.target_speed = 30.0
     _add(env, -484.0, env.ego.y, 0.0)
 
 
@@ -774,7 +780,7 @@ def _random_static_state(rng, seed):
     env.ego.y = lane * lane_width
     env.ego.lane_target = lane
     env.ego.v = float(rng.uniform(0.0, 40.0))
-    env._ego_target_speed = float(rng.uniform(10.0, 30.0))
+    env.ego.target_speed = float(rng.uniform(10.0, 30.0))
     if rng.random() < 0.5:
         target = lane + (1 if lane == 0 or (lane < lane_count - 1 and rng.random() < 0.5) else -1)
         env.ego.lane_target = target

@@ -43,10 +43,9 @@ from highwaylab.nets import (
     NetworkSpec,
     adam_to_bytes,
     init_params,
-    load_params,
+    network_from_bytes,
     network_to_bytes,
     read_archive,
-    save_params,
     write_archive,
 )
 from highwaylab.ppo import PpoConfig, PpoLearner
@@ -508,6 +507,22 @@ class TestCli:
         assert f"{config_path}:11: {message}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (SMALL_RANDOM.replace("seeds = 5", "seeds = 3, 3"), ":5: seeds must be distinct"),
+            (SMALL_DQN.replace("learn_start = 50", "learn_start = 2001"), ":11: need learn_start"),
+        ],
+        ids=["duplicate_seeds", "learn_start_above_capacity"],
+    )
+    def test_config_that_would_train_wrongly_exit_code(self, tmp_path, capsys, text, message):
+        config_path = tmp_path / "bad.ini"
+        config_path.write_text(text)
+        out = tmp_path / "runs"
+        assert main(["train", "--config", str(config_path), "--out", str(out)]) == EXIT_CONFIG
+        assert f"{config_path}{message}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_infeasible_traffic_exit_code(self, tmp_path):
         config_path = tmp_path / "dense.ini"
         config_path.write_text(SMALL_RANDOM + "\n[env]\nn_traffic = 100\n")
@@ -797,8 +812,8 @@ class TestCheckpointFuzz:
         path = tmp_path / "ckpt.bin"
         if kind == "network":
             spec = NetworkSpec((3, 2, 2))
-            save_params(path, spec, init_params(spec, 0))
-            load = lambda: load_params(path)
+            path.write_bytes(network_to_bytes(spec, init_params(spec, 0)))
+            load = lambda: network_from_bytes(path.read_bytes())
         else:
             learner_cls, cfg = self.AGENTS[kind]
             learner_cls(3, 2, cfg, seed=0).save(path)

@@ -22,16 +22,14 @@ from highwaylab.nets import (
     adam_step,
     adam_to_bytes,
     backward,
-    categorical_entropy,
     forward,
     forward_activations,
     gradient_check,
     init_params,
-    load_params,
     log_softmax,
+    network_from_bytes,
     network_to_bytes,
     read_archive,
-    save_params,
     softmax,
     squared_error_probe,
     write_archive,
@@ -363,55 +361,38 @@ class TestSoftmax:
         logits = np.array([0.2, -1.0, 3.0, 0.0, 1.5])
         np.testing.assert_allclose(np.exp(log_softmax(logits)), softmax(logits), rtol=1e-12)
 
-    def test_entropy_uniform(self):
-        h = categorical_entropy(np.zeros(5))
-        assert h == pytest.approx(math.log(5), rel=1e-12)
-
 
 class TestCheckpoint:
-    def test_round_trip_bitwise(self, tmp_path):
+    def test_round_trip_bitwise(self):
         spec = NetworkSpec((25, 128, 128, 5))
         params = init_params(spec, 123)
-        path = tmp_path / "net.bin"
-        save_params(path, spec, params)
-        loaded_spec, loaded = load_params(path)
+        loaded_spec, loaded = network_from_bytes(network_to_bytes(spec, params))
         assert loaded_spec == spec
         assert np.array_equal(loaded.values, params.values)
 
-    def test_truncated_file(self, tmp_path):
+    def test_truncated_file(self):
         spec = NetworkSpec((4, 3))
-        path = tmp_path / "net.bin"
-        save_params(path, spec, init_params(spec, 0))
-        data = path.read_bytes()
-        path.write_bytes(data[: len(data) - 12])
+        data = network_to_bytes(spec, init_params(spec, 0))
         with pytest.raises(CheckpointTruncatedError):
-            load_params(path)
+            network_from_bytes(data[: len(data) - 12])
 
-    def test_foreign_version_tag(self, tmp_path):
+    def test_foreign_version_tag(self):
         spec = NetworkSpec((4, 3))
-        path = tmp_path / "net.bin"
-        save_params(path, spec, init_params(spec, 0))
-        data = bytearray(path.read_bytes())
+        data = bytearray(network_to_bytes(spec, init_params(spec, 0)))
         data[4:8] = (99).to_bytes(4, "little")
-        path.write_bytes(bytes(data))
         with pytest.raises(CheckpointVersionError):
-            load_params(path)
+            network_from_bytes(bytes(data))
 
-    def test_bad_magic(self, tmp_path):
-        path = tmp_path / "net.bin"
-        path.write_bytes(b"NOPE" + b"\x00" * 64)
+    def test_bad_magic(self):
         with pytest.raises(CheckpointFormatError):
-            load_params(path)
+            network_from_bytes(b"NOPE" + b"\x00" * 64)
 
-    def test_corrupted_payload_fails_checksum(self, tmp_path):
+    def test_corrupted_payload_fails_checksum(self):
         spec = NetworkSpec((4, 3))
-        path = tmp_path / "net.bin"
-        save_params(path, spec, init_params(spec, 0))
-        data = bytearray(path.read_bytes())
+        data = bytearray(network_to_bytes(spec, init_params(spec, 0)))
         data[40] ^= 0xFF  # inside the parameter payload, after the header
-        path.write_bytes(bytes(data))
         with pytest.raises(CheckpointChecksumError):
-            load_params(path)
+            network_from_bytes(bytes(data))
 
     def test_archive_round_trip(self, tmp_path):
         path = tmp_path / "arch.bin"
@@ -446,29 +427,22 @@ class TestCheckpoint:
         with pytest.raises(CheckpointFormatError, match="4 bytes after the checksum"):
             read_archive(path)
 
-    def test_params_bytes_after_checksum_are_format_error(self, tmp_path):
+    def test_params_bytes_after_checksum_are_format_error(self):
         spec = NetworkSpec((4, 3))
-        path = tmp_path / "net.bin"
-        save_params(path, spec, init_params(spec, 0))
-        path.write_bytes(path.read_bytes() + b"junk")
+        data = network_to_bytes(spec, init_params(spec, 0))
         with pytest.raises(CheckpointFormatError, match="4 bytes after the checksum"):
-            load_params(path)
+            network_from_bytes(data + b"junk")
 
-    @pytest.mark.parametrize("writer", ["save_params", "write_archive"])
-    def test_failed_replace_keeps_previous_file(self, tmp_path, monkeypatch, writer):
+    def test_failed_replace_keeps_previous_file(self, tmp_path, monkeypatch):
         path = tmp_path / "ckpt.bin"
         path.write_bytes(b"previous checkpoint")
-        spec = NetworkSpec((3, 2))
 
         def fail_replace(src, dst):
             raise OSError("simulated failure")
 
         monkeypatch.setattr(os, "replace", fail_replace)
         with pytest.raises(OSError):
-            if writer == "save_params":
-                save_params(path, spec, init_params(spec, 0))
-            else:
-                write_archive(path, [("meta", b"{}")])
+            write_archive(path, [("meta", b"{}")])
         assert path.read_bytes() == b"previous checkpoint"
         assert [p.name for p in tmp_path.iterdir()] == ["ckpt.bin"]
 
