@@ -274,10 +274,10 @@ class _SectionView:
             raise self.blame(message) from exc
 
     def blame(self, message: str) -> ConfigError:
-        """Attach the most plausible line to an invariant failure message."""
-        for key in self._raw:
-            if key in message:
-                return ConfigError(f"{self._origin}:{self._raw[key][1]}: {message}")
+        """Cite the line of every key an invariant failure message names, in line order."""
+        lines = sorted(line for key, (_, line) in self._raw.items() if key in message)
+        if lines:
+            return ConfigError(f"{self._origin}:{','.join(map(str, lines))}: {message}")
         return ConfigError(f"{self._origin}: [{self._section}] {message}")
 
 

@@ -387,31 +387,42 @@ def network_to_bytes(spec: NetworkSpec, params: ParameterSet) -> bytes:
         raise ValueError(
             f"spec expects {spec.n_params} parameters, got {params.values.size}"
         )
-    buf = bytearray()
-    buf += _MAGIC_NETWORK
-    buf += struct.pack("<I", PARAMS_FORMAT_VERSION)
-    buf += struct.pack("<I", len(spec.layer_sizes))
-    buf += struct.pack(f"<{len(spec.layer_sizes)}I", *spec.layer_sizes)
-    buf += struct.pack("<I", _ACTIVATION_CODES[spec.activation])
-    buf += struct.pack("<Q", params.values.size)
-    buf += params.values.astype("<f8").tobytes()
-    buf += struct.pack("<I", zlib.crc32(bytes(buf)))
-    return bytes(buf)
+    n_layers = len(spec.layer_sizes)
+    head = struct.pack(
+        f"<4sII{n_layers}IIQ",
+        _MAGIC_NETWORK,
+        PARAMS_FORMAT_VERSION,
+        n_layers,
+        *spec.layer_sizes,
+        _ACTIVATION_CODES[spec.activation],
+        params.values.size,
+    )
+    values = params.values.astype("<f8", copy=False)
+    crc = zlib.crc32(values, zlib.crc32(head))
+    return b"".join((head, values, struct.pack("<I", crc)))
 
 
 class _Reader:
+    """Takes fields in order from bytes, as views, without copying them."""
+
     def __init__(self, data: bytes, what: str):
-        self.data = data
+        self.data = memoryview(data)
+        self.size = len(self.data)
         self.offset = 0
         self.what = what
 
-    def take(self, n: int) -> bytes:
-        if self.offset + n > len(self.data):
+    def _read(self, n: int):
+        return self.data[self.offset : self.offset + n]
+
+    def crc_so_far(self) -> int:
+        return zlib.crc32(self.data[: self.offset])
+
+    def take(self, n: int):
+        if self.offset + n > self.size:
             raise CheckpointTruncatedError(
-                f"{self.what}: file ends at byte {len(self.data)}, "
-                f"needed {self.offset + n}"
+                f"{self.what}: file ends at byte {self.size}, needed {self.offset + n}"
             )
-        chunk = self.data[self.offset : self.offset + n]
+        chunk = self._read(n)
         self.offset += n
         return chunk
 
@@ -419,15 +430,39 @@ class _Reader:
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
     def expect_end(self, last: str) -> None:
-        if self.offset != len(self.data):
+        if self.offset != self.size:
             raise CheckpointFormatError(
-                f"{self.what}: {len(self.data) - self.offset} bytes after the {last}"
+                f"{self.what}: {self.size - self.offset} bytes after the {last}"
             )
 
 
-def _check_crc(data: bytes, reader: _Reader, what: str) -> None:
+class _FileReader(_Reader):
+    """Takes fields in order from an open file, keeping a running CRC of what it read."""
+
+    def __init__(self, f, what: str):
+        self.file = f
+        self.size = os.fstat(f.fileno()).st_size
+        self.offset = 0
+        self.what = what
+        self.crc = 0
+
+    def _read(self, n: int) -> bytes:
+        chunk = self.file.read(n)
+        if len(chunk) != n:  # the file shrank since it was opened
+            raise CheckpointTruncatedError(
+                f"{self.what}: file ends at byte {self.offset + len(chunk)}, "
+                f"needed {self.offset + n}"
+            )
+        self.crc = zlib.crc32(chunk, self.crc)
+        return chunk
+
+    def crc_so_far(self) -> int:
+        return self.crc
+
+
+def _check_crc(reader: _Reader, what: str) -> None:
+    actual = reader.crc_so_far()
     (stored,) = reader.unpack("<I")
-    actual = zlib.crc32(data[: reader.offset - 4])
     if stored != actual:
         raise CheckpointChecksumError(f"{what}: CRC32 mismatch")
 
@@ -450,7 +485,7 @@ def network_from_bytes(data: bytes) -> tuple[NetworkSpec, ParameterSet]:
         raise CheckpointFormatError(f"network checkpoint: bad activation code {act_code}")
     (count,) = r.unpack("<Q")
     raw = r.take(count * 8)
-    _check_crc(data, r, "network checkpoint")
+    _check_crc(r, "network checkpoint")
     r.expect_end("checksum")
     try:
         spec = NetworkSpec(sizes, _ACTIVATION_NAMES[act_code])
@@ -458,21 +493,25 @@ def network_from_bytes(data: bytes) -> tuple[NetworkSpec, ParameterSet]:
             raise CheckpointFormatError(
                 f"network checkpoint: {count} parameters but spec needs {spec.n_params}"
             )
-        values = np.frombuffer(raw, dtype="<f8").astype(np.float64)
-        return spec, ParameterSet(values)
+        return spec, ParameterSet._adopt(np.frombuffer(raw, dtype="<f8").astype(np.float64))
     except ValueError as exc:  # a layer size of 0 or a non-finite parameter
         raise CheckpointFormatError(f"network checkpoint: {exc}") from None
 
 
-def _replace_file(path, data: bytes) -> None:
-    """Write data to a temporary file beside path, then rename it over path, without fsync.
+def _replace_file(path, chunks) -> None:
+    """Write the chunks and then the CRC32 of them all to a temporary file beside path,
+    then rename it over path, without fsync.
 
     A failed write leaves the previous file intact and no temporary behind.
     """
     tmp = f"{os.fsdecode(path)}.{os.getpid()}.tmp"
     try:
         with open(tmp, "wb") as f:
-            f.write(data)
+            crc = 0
+            for chunk in chunks:
+                f.write(chunk)
+                crc = zlib.crc32(chunk, crc)
+            f.write(struct.pack("<I", crc))
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(OSError):
@@ -481,40 +520,35 @@ def _replace_file(path, data: bytes) -> None:
 
 
 def write_archive(path, sections: list[tuple[str, bytes]]) -> None:
-    buf = bytearray()
-    buf += _MAGIC_ARCHIVE
-    buf += struct.pack("<I", PARAMS_FORMAT_VERSION)
-    buf += struct.pack("<I", len(sections))
-    for name, payload in sections:
-        raw_name = name.encode("utf-8")
-        buf += struct.pack("<H", len(raw_name))
-        buf += raw_name
-        buf += struct.pack("<Q", len(payload))
-        buf += payload
-    buf += struct.pack("<I", zlib.crc32(bytes(buf)))
-    _replace_file(path, bytes(buf))
+    def chunks():
+        yield struct.pack("<4sII", _MAGIC_ARCHIVE, PARAMS_FORMAT_VERSION, len(sections))
+        for name, payload in sections:
+            raw_name = name.encode("utf-8")
+            yield struct.pack("<H", len(raw_name)) + raw_name + struct.pack("<Q", len(payload))
+            yield payload
+
+    _replace_file(path, chunks())
 
 
 def read_archive(path) -> dict[str, bytes]:
     with open(path, "rb") as f:
-        data = f.read()
-    r = _Reader(data, "checkpoint archive")
-    if r.take(4) != _MAGIC_ARCHIVE:
-        raise CheckpointFormatError("checkpoint archive: bad magic")
-    (version,) = r.unpack("<I")
-    if version != PARAMS_FORMAT_VERSION:
-        raise CheckpointVersionError(
-            f"checkpoint archive: version {version}, expected {PARAMS_FORMAT_VERSION}"
-        )
-    (count,) = r.unpack("<I")
-    raw_sections = []
-    for _ in range(count):
-        (name_len,) = r.unpack("<H")
-        name = r.take(name_len)
-        (payload_len,) = r.unpack("<Q")
-        raw_sections.append((name, r.take(payload_len)))
-    _check_crc(data, r, "checkpoint archive")
-    r.expect_end("checksum")
+        r = _FileReader(f, "checkpoint archive")
+        if r.take(4) != _MAGIC_ARCHIVE:
+            raise CheckpointFormatError("checkpoint archive: bad magic")
+        (version,) = r.unpack("<I")
+        if version != PARAMS_FORMAT_VERSION:
+            raise CheckpointVersionError(
+                f"checkpoint archive: version {version}, expected {PARAMS_FORMAT_VERSION}"
+            )
+        (count,) = r.unpack("<I")
+        raw_sections = []
+        for _ in range(count):
+            (name_len,) = r.unpack("<H")
+            name = r.take(name_len)
+            (payload_len,) = r.unpack("<Q")
+            raw_sections.append((name, r.take(payload_len)))
+        _check_crc(r, "checkpoint archive")
+        r.expect_end("checksum")
     sections: dict[str, bytes] = {}
     for raw_name, payload in raw_sections:
         try:
@@ -537,7 +571,7 @@ def adam_to_bytes(state: AdamState) -> bytes:
         state.eps,
         state.m.size,
     )
-    return head + state.m.astype("<f8").tobytes() + state.v.astype("<f8").tobytes()
+    return b"".join((head, state.m.astype("<f8", copy=False), state.v.astype("<f8", copy=False)))
 
 
 def adam_from_bytes(data: bytes) -> AdamState:

@@ -217,12 +217,20 @@ def _action_distribution(
     return logp, np.exp(logp)
 
 
+# The tolerance Generator.choice gives the sum of float64 probabilities.
+_PROBABILITY_SUM_TOLERANCE = float(np.sqrt(np.finfo(np.float64).eps))
+
+
 def _sample_action(rng: np.random.Generator, probs: np.ndarray) -> int:
-    """Draw an action index; non-finite probabilities mean the policy diverged."""
-    try:
-        return int(rng.choice(probs.size, p=probs))
-    except ValueError as exc:  # numpy refuses NaN or unnormalizable probabilities
-        raise TrainingDivergenceError(f"bad action probabilities: {exc}") from None
+    """Draw an action index with the draw and the result of ``rng.choice(probs.size,
+    p=probs)``; NaN, negative or unnormalized probabilities mean the policy diverged."""
+    cdf = probs.cumsum()
+    total = cdf[-1]
+    # min() is NaN when an entry is, so this refuses NaN entries too.
+    if not (probs.min() >= 0.0 and abs(total - 1.0) <= _PROBABILITY_SUM_TOLERANCE):
+        raise TrainingDivergenceError(f"bad action probabilities: {probs.tolist()}")
+    cdf /= total
+    return int(cdf.searchsorted(rng.random(), side="right"))
 
 
 class RolloutCollector(EpisodeDriver):

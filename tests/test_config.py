@@ -147,6 +147,13 @@ class TestLinePreciseErrors:
         with pytest.raises(ConfigError, match=r"cfg:6"):
             parse_config(text, origin="cfg")
 
+    def test_two_key_invariant_cites_both_lines(self):
+        # learn_start is on line 23 of merge_dqn.ini and buffer_capacity on line 18.
+        text = _with_key((CONFIGS / "merge_dqn.ini").read_text(), "dqn", "learn_start", "1000001")
+        with pytest.raises(ConfigError) as info:
+            parse_config(text, origin="merge_dqn.ini")
+        assert str(info.value) == "merge_dqn.ini:18,23: need learn_start <= buffer_capacity"
+
     def test_bad_agent_value(self):
         with pytest.raises(ConfigError, match="agent must be one of"):
             parse_config("[experiment]\nagent = sac\n")
@@ -272,7 +279,7 @@ def test_one_mutation_messages_are_pinned():
                     except ConfigError as exc:
                         outcomes.append(str(exc))
     assert len(outcomes) == 10_600
-    digest = "1239be26a60d759726be30ef26b559f0f84635fb4b66c0470920e5083ed70073"
+    digest = "300ee1ab8cb41910aace0a153b0d39c264bb01ecb2e578fe31fb786bfc31428f"
     assert sha256(json.dumps(outcomes)) == digest
 
 

@@ -2,6 +2,7 @@
 
 import math
 import os
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -34,6 +35,7 @@ from highwaylab.nets import (
     squared_error_probe,
     write_archive,
 )
+from highwaylab.ppo import PpoConfig, PpoLearner
 
 
 def scalar_forward(spec, params, x):
@@ -458,6 +460,53 @@ class TestCheckpoint:
         assert restored.learning_rate == 0.003
         assert np.array_equal(restored.m, state.m)
         assert np.array_equal(restored.v, state.v)
+
+
+def traced_peak(call) -> int:
+    """Bytes that ``call()`` allocates at its peak beyond what was allocated before."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        call()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+class TestStreamedArchive:
+    """The archive codec holds one copy of each section, not copies of the whole file."""
+
+    MB = 1 << 20
+
+    def test_write_allocates_little_beyond_its_sections(self, tmp_path):
+        sections = [("meta", b"{}"), ("big", np.random.default_rng(0).bytes(4 * self.MB))]
+        peak = traced_peak(lambda: write_archive(tmp_path / "a.bin", sections))
+        assert peak < self.MB // 2
+
+    def test_read_peaks_near_the_file_size(self, tmp_path):
+        path = tmp_path / "a.bin"
+        write_archive(path, [("meta", b"{}"), ("big", np.random.default_rng(0).bytes(4 * self.MB))])
+        assert traced_peak(lambda: read_archive(path)) < 1.25 * path.stat().st_size
+
+    def test_file_that_shrinks_while_read_is_truncated(self, tmp_path, monkeypatch):
+        # The file is cut to 20 bytes after os.fstat reported its full 28:
+        # the payload length at bytes 15-22 is short.
+        path = tmp_path / "a.bin"
+        write_archive(path, [("a", b"1")])
+        full = os.stat(path)
+        path.write_bytes(path.read_bytes()[:20])
+        monkeypatch.setattr(os, "fstat", lambda fd: full)
+        with pytest.raises(CheckpointTruncatedError, match="ends at byte 20, needed 23$"):
+            read_archive(path)
+
+    def test_learner_save_peaks_near_the_file_size(self, tmp_path):
+        cfg = PpoConfig(rollout_length=4, minibatch_size=4, hidden_sizes=(256, 256))
+        learner = PpoLearner(25, 5, cfg, seed=0)
+        path = tmp_path / "ppo.bin"
+        peak = traced_peak(lambda: learner.save(path))
+        assert path.stat().st_size > 3 * self.MB
+        assert peak < 1.2 * path.stat().st_size
 
 
 class TestDeterminism:

@@ -20,6 +20,7 @@ from highwaylab.ppo import (
     PpoLearner,
     RolloutBatch,
     RolloutCollector,
+    _sample_action,
     clipped_surrogate,
     compute_gae,
     ppo_objective,
@@ -488,6 +489,36 @@ class TestDivergedPolicy:
         obs = HighwayEnv(road=RoadConfig(scenario="merge")).reset(4)
         with np.errstate(all="ignore"), pytest.raises(TrainingDivergenceError):
             learner.act(obs)
+
+
+class TestSampleAction:
+    def test_draws_equal_generator_choice(self):
+        # Logit scales from flat to one-hot within float64, so some
+        # distributions put all but ~1e-130 of their mass on one action.
+        rng = np.random.default_rng(7)
+        ours, reference = np.random.default_rng(21), np.random.default_rng(21)
+        one_hot = 0
+        for scale in np.repeat([0.01, 1.0, 5.0, 30.0, 300.0], 2_000):
+            probs = np.exp(log_softmax(rng.normal(size=5) * scale))
+            one_hot += probs.max() > 1 - 1e-12
+            assert _sample_action(ours, probs) == int(reference.choice(5, p=probs))
+            assert ours.bit_generator.state == reference.bit_generator.state
+        assert one_hot > 2_000
+
+    @pytest.mark.parametrize(
+        "probs",
+        [[0.5, np.nan, 0.5], [0.6, -0.1, 0.5], [0.5, 0.5 + 1e-7, 0.0]],
+        ids=["nan", "negative", "sum-off-one"],
+    )
+    def test_bad_probabilities_are_divergence(self, probs):
+        rng = np.random.default_rng(0)
+        with pytest.raises(TrainingDivergenceError, match="^bad action probabilities: "):
+            _sample_action(rng, np.array(probs))
+
+    def test_sum_within_tolerance_draws(self):
+        probs = np.array([0.5, 0.5 + 1e-9, 0.0])
+        ours, reference = np.random.default_rng(3), np.random.default_rng(3)
+        assert _sample_action(ours, probs) == int(reference.choice(3, p=probs))
 
 
 class TestOneActionDistribution:
