@@ -1,11 +1,13 @@
 """Seedable highway and on-ramp merge driving environment.
 
-Point-mass vehicles on a straight multi-lane road. Lane 0 is the leftmost
-lane and lane centers sit at ``lane_index * lane_width`` with y measured from
-the center of lane 0. The ego vehicle is driven by discrete meta-actions
-(lane left/right, idle, faster, slower); each decision covers 1.0 s simulated
-as ten 0.1 s Euler sub-steps. Within a sub-step all accelerations are
-computed from the same state snapshot, then every vehicle integrates:
+Vehicles on a straight multi-lane road, each a VEHICLE_LENGTH x
+VEHICLE_WIDTH box (5 m x 2 m, highway-env's default car); no vehicle has
+another size. Lane 0 is the leftmost lane and lane centers sit at
+``lane_index * lane_width`` with y measured from the center of lane 0. The
+ego vehicle is driven by discrete meta-actions (lane left/right, idle,
+faster, slower); each decision covers 1.0 s simulated as ten 0.1 s Euler
+sub-steps. Within a sub-step all accelerations are computed from the same
+state snapshot, then every vehicle integrates:
 
     a   = clamp(K_P * (v_target - v), -A_MAX, A_MAX)   (ego, or leaderless traffic)
     v  <- clamp(v + a * dt, 0, V_LIMIT)
@@ -133,8 +135,6 @@ class VehicleState:
     v: float
     a: float = 0.0
     lane_target: int = 0
-    length: float = VEHICLE_LENGTH
-    width: float = VEHICLE_WIDTH
     crashed: bool = False
     target_speed: float = EGO_SPAWN_SPEED  # tracked without a leader; FASTER/SLOWER set the ego's
 
@@ -153,7 +153,7 @@ def _clamp(value: float, low: float, high: float) -> float:
 
 
 def _bumper_gap(follower: VehicleState, leader: VehicleState) -> float:
-    return leader.x - follower.x - 0.5 * (leader.length + follower.length)
+    return leader.x - follower.x - VEHICLE_LENGTH
 
 
 def ghr_acceleration(
@@ -202,40 +202,25 @@ def _leaders(xs: Sequence[float], ys: Sequence[float], half: float) -> list[int]
     return [_leader_of(i, xs, ys, half) for i in range(len(xs))]
 
 
-def _overlapping(
-    order: Sequence[int],
-    xs: Sequence[float],
-    ys: Sequence[float],
-    lengths: Sequence[float],
-    widths: Sequence[float],
-) -> list[bool]:
+def _overlapping(order: Sequence[int], xs: Sequence[float], ys: Sequence[float]) -> list[bool]:
     """Sort-and-sweep box overlap along x; boxes that merely touch collide.
 
-    `order` comes from `_x_order`. A pair more than the longest vehicle
-    apart in x cannot overlap, so each vehicle's scan stops there.
+    `order` comes from `_x_order`. Two vehicles overlap when their centres
+    are at most VEHICLE_LENGTH apart in x and VEHICLE_WIDTH in y, so each
+    vehicle's scan stops at the first one more than VEHICLE_LENGTH ahead.
     """
     n = len(order)
     hit = [False] * n
-    if n == 0:
-        return hit
-    window = max(lengths)
     sorted_xs = [xs[i] for i in order]
     for pos in range(n - 1):
         xi = sorted_xs[pos]
-        if sorted_xs[pos + 1] - xi > window:
-            continue
         i = order[pos]
         yi = ys[i]
-        li = lengths[i]
-        wi = widths[i]
         for k in range(pos + 1, n):
-            dx = sorted_xs[k] - xi  # |dx|, as the scan runs in x order
-            if dx > window:
+            if sorted_xs[k] - xi > VEHICLE_LENGTH:  # |dx|, as the scan runs in x order
                 break
             j = order[k]
-            if dx <= 0.5 * (li + lengths[j]) and abs(yi - ys[j]) <= 0.5 * (
-                wi + widths[j]
-            ):
+            if abs(yi - ys[j]) <= VEHICLE_WIDTH:
                 hit[i] = True
                 hit[j] = True
     return hit
@@ -249,8 +234,6 @@ def _certificate(
     xs: Sequence[float],
     ys: Sequence[float],
     vs: Sequence[float],
-    lengths: Sequence[float],
-    widths: Sequence[float],
     crashed: Sequence[bool],
     target_ys: Sequence[float],
     half: float,
@@ -264,17 +247,18 @@ def _certificate(
     the current leaders are proved. A kinetic-data-structure certificate
     (Basch, Guibas & Hershberger 1997) on a state that `order` sorts by x.
     P1: at most one vehicle that can move, the mover, is off its lane-target
-    y. P2: the other ys, the lanes, lie more than `apart` (the widest vehicle,
-    and at least half a lane) apart. The mover, its y replayed with the
-    kernel's slew, keeps until sub-step k the lanes within half a lane of it
-    (at most one, where it leads and follows) and within `apart` (whose x
-    order it joins). P3: each x-adjacent pair in a lane has a bumper
-    clearance above a margin, and a pair that may close it within `steps`,
-    by |dv| * DT * steps + A_MAX * DT^2 * steps(steps+1), is watched; a
-    crashed vehicle's speed counts as 0 whatever it stores, and clamping
-    speeds into [0, V_LIMIT] only brings them closer. Two crashed vehicles
-    more than the margin apart in x are exempt, overlapping or not: neither
-    moves again, and the lane's x order stays the leader rule's.
+    y. P2: the other ys, the lanes, lie more than `apart` (VEHICLE_WIDTH, and
+    at least half a lane) apart. The mover, its y replayed with the kernel's
+    slew, keeps until sub-step k the lanes within half a lane of it (at most
+    one, where it leads and follows) and within `apart` (whose x order it
+    joins). P3: each x-adjacent pair in a lane has a bumper clearance, its dx
+    less VEHICLE_LENGTH, above a margin, and a pair that may close it within
+    `steps`, by |dv| * DT * steps + A_MAX * DT^2 * steps(steps+1), is
+    watched with need = VEHICLE_LENGTH + margin; a crashed vehicle's speed
+    counts as 0 whatever it stores, and clamping speeds into [0, V_LIMIT]
+    only brings them closer. Two crashed vehicles more than the margin apart
+    in x are exempt, overlapping or not: neither moves again, and the lane's
+    x order stays the leader rule's.
     """
     movers = [] if ys == target_ys else [
         i for i, y in enumerate(ys) if y != target_ys[i] and not crashed[i]
@@ -283,7 +267,7 @@ def _certificate(
         return 0, None, []
     mover = movers[0] if movers else -1
     lane_ys = sorted(set(ys if mover < 0 else ys[:mover] + ys[mover + 1 :]))
-    apart = max(max(widths), half)
+    apart = max(VEHICLE_WIDTH, half)
     for y, next_y in zip(lane_ys, lane_ys[1:]):
         if not next_y - y > apart:  # written so that NaN fails too
             return 0, None, []
@@ -338,17 +322,17 @@ def _certificate(
     span = DT * steps
     # Accelerations alone move each speed by at most A_MAX * DT a sub-step.
     reserve = A_MAX * DT * DT * steps * (steps + 1) + margin
+    need = VEHICLE_LENGTH + margin
     watch = []
     for j, i in pairs:
         if crashed[i] and crashed[j] and xs[i] - xs[j] > margin:
             continue
-        bumpers = 0.5 * (lengths[i] + lengths[j])
-        clearance = xs[i] - xs[j] - bumpers
+        clearance = xs[i] - xs[j] - VEHICLE_LENGTH
         dv = vs[i] - vs[j]
         if not clearance > abs(dv) * span + reserve:
             if not (clearance > margin and dv == dv):
                 return 0, None, []
-            watch.append((j, i, bumpers + margin))
+            watch.append((j, i, need))
     return k, leader, watch
 
 
@@ -361,14 +345,7 @@ def collision_check(vehicles: Sequence[VehicleState]) -> np.ndarray:
     length of each other.
     """
     xs = [v.x for v in vehicles]
-    hit = _overlapping(
-        _x_order(xs),
-        xs,
-        [v.y for v in vehicles],
-        [v.length for v in vehicles],
-        [v.width for v in vehicles],
-    )
-    return np.array(hit, dtype=bool)
+    return np.array(_overlapping(_x_order(xs), xs, [v.y for v in vehicles]), dtype=bool)
 
 
 def _lateral_velocity(vehicle: VehicleState, lane_width: float) -> float:
@@ -665,8 +642,6 @@ class HighwayEnv:
         ys = [v.y if v.crashed or v.y != y else y for v, y in zip(vehicles, target_ys)]
         vs = [v.v for v in vehicles]
         accs = [0.0 if v.crashed else v.a for v in vehicles]
-        lengths = [v.length for v in vehicles]
-        widths = [v.width for v in vehicles]
         target_speeds = [v.target_speed for v in vehicles]
 
         road = self.road
@@ -679,19 +654,18 @@ class HighwayEnv:
         queues = [None] * n if self._delay_substeps == 0 else [None, *self._delay_queues]
 
         brake = -A_MAX
+        length = VEHICLE_LENGTH
         off_road = self._off_road
         abs_accel_sum = 0.0
         order = _x_order(xs)
         step = 0
         while step < SUBSTEPS:
-            k, leaders, watch = _certificate(
-                order, xs, ys, vs, lengths, widths, crashed, target_ys, half, SUBSTEPS - step
-            )
+            k, leaders, watch = _certificate(order, xs, ys, vs, crashed, target_ys, half, SUBSTEPS - step)
             if leaders is None:
                 leaders = _leaders(xs, ys, half)
             leaders[0] = -1  # the ego tracks its target speed whatever leads it
             plan = [
-                (i, j, 0.5 * (lengths[j] + lengths[i]), target_speeds[i], on_ramp[i], queues[i])
+                (i, j, target_speeds[i], on_ramp[i], queues[i])
                 for i, j in zip(order, map(leaders.__getitem__, order))
                 if not crashed[i]
             ]
@@ -699,7 +673,7 @@ class HighwayEnv:
                 (i, target_ys[i]) for i in order if ys[i] != target_ys[i] and not crashed[i]
             ]
             while True:
-                for i, j, bumpers, target_speed, ramp_i, queue in plan:
+                for i, j, target_speed, ramp_i, queue in plan:
                     v = vs[i]
                     x = xs[i]
                     if ramp_i and x >= ramp_end:
@@ -708,7 +682,7 @@ class HighwayEnv:
                         if j < 0:  # no leader: track the target speed
                             a = K_P * (target_speed - v)
                         else:  # the GHR law; a full brake when the bumpers meet
-                            gap = xs[j] - x - bumpers
+                            gap = xs[j] - x - length
                             # v**0.0 is 1.0 and c * 1.0 is c for every float.
                             a = brake if gap <= 0.0 else (c * v**m if m else c) * (vs[j] - v) / gap**l
                         a = brake if a < brake else A_MAX if a > A_MAX else a
@@ -735,7 +709,7 @@ class HighwayEnv:
                     # Fold overlaps into sticky crashes. The x order found here
                     # also serves the next window, since crashes move nothing.
                     order = _x_order(xs)
-                    hit = _overlapping(order, xs, ys, lengths, widths)
+                    hit = _overlapping(order, xs, ys)
                     if any(hit):
                         for i in range(n):
                             if hit[i] and not crashed[i]:

@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .actions import N_ACTIONS
-from .config import ExperimentConfig
+from .config import AGENTS, ExperimentConfig
 from .dqn import DqnLearner, Transition
 from .env import DECISION_PERIOD, OBS_DIM, HighwayEnv, StepOutcome
 from .episodes import EpisodeDriver, EpisodeStats
@@ -149,7 +149,9 @@ class FaultLog:
 
     A fault opens on the first step where the ego is crashed or off the
     road and closes at the next episode reset; duration accrues one decision
-    period per step while a fault is open, the opening step included.
+    period per step while a fault is open, the opening step included. A
+    crash or a road departure ends its episode, so every fault lasts one
+    step and ``duration_s`` is always ``count * DECISION_PERIOD`` exactly.
     """
 
     def __init__(self):
@@ -513,7 +515,7 @@ def compare(config: ExperimentConfig, out_dir) -> tuple[list[dict], dict[str, st
     table: list[dict] = []
     errors: dict[str, str] = {}
     rows = []
-    for agent in ("dqn", "ppo", "rules", "random"):
+    for agent in AGENTS:
         agent_config = dataclasses.replace(config, agent=agent)
         checkpoint = {"dqn": config.dqn_checkpoint, "ppo": config.ppo_checkpoint}.get(agent)
         try:

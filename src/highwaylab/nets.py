@@ -623,8 +623,9 @@ def load_agent(cls, path, config, seed):
     Raises CheckpointMismatchError when the archive holds another agent, a
     network whose shape differs from the config-built learner's, or an
     optimizer sized for another network; CheckpointFormatError when the meta
-    is not a UTF-8 JSON object with every counter a non-negative integer, or
-    a section is missing or malformed.
+    is not a UTF-8 JSON object with every counter a non-negative integer,
+    its ``obs_dim`` and ``n_actions`` are not the first network's input and
+    output widths, or a section is missing or malformed.
     """
     sections = read_archive(path)
     if "meta" not in sections:
@@ -648,6 +649,12 @@ def load_agent(cls, path, config, seed):
         )
     networks = {name: network_from_bytes(sections[name]) for name in cls.NETWORKS}
     spec, _ = next(iter(networks.values()))
+    if (meta.get("obs_dim"), meta.get("n_actions")) != (spec.input_dim, spec.output_dim):
+        raise CheckpointFormatError(
+            f"checkpoint meta gives obs_dim {meta.get('obs_dim')!r}, n_actions "
+            f"{meta.get('n_actions')!r}; its first network maps {spec.input_dim} to "
+            f"{spec.output_dim}"
+        )
     learner = cls(spec.input_dim, spec.output_dim, config, seed)
     for name, (spec_attr, params_attr) in cls.NETWORKS.items():
         spec, params = networks[name]

@@ -345,10 +345,11 @@ class PpoLearner(CheckpointedLearner):
             order = self._shuffle_rng.permutation(n)
             for start in range(0, n, cfg.minibatch_size):
                 idx = order[start : start + cfg.minibatch_size]
+                obs = batch.obs[idx]
                 objective, policy_grad, stats = ppo_objective(
                     self.policy_spec,
                     self.policy_params,
-                    batch.obs[idx],
+                    obs,
                     batch.actions[idx],
                     batch.log_probs[idx],
                     batch.advantages[idx],
@@ -360,7 +361,7 @@ class PpoLearner(CheckpointedLearner):
                     self.policy_adam, self.policy_params, -policy_grad
                 )
                 vloss, value_grad = value_loss(
-                    self.value_spec, self.value_params, batch.obs[idx], batch.value_targets[idx]
+                    self.value_spec, self.value_params, obs, batch.value_targets[idx]
                 )
                 self.value_params, self.value_adam = adam_step(
                     self.value_adam, self.value_params, value_grad

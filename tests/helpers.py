@@ -20,6 +20,8 @@ from highwaylab.env import (
     OBS_ROW,
     SUBSTEPS,
     V_LIMIT,
+    VEHICLE_LENGTH,
+    VEHICLE_WIDTH,
     HighwayEnv,
 )
 
@@ -116,16 +118,14 @@ def reference_collisions(vehicles):
         vi = vehicles[i]
         for j in range(i + 1, n):
             vj = vehicles[j]
-            if abs(vi.x - vj.x) <= 0.5 * (vi.length + vj.length) and abs(
-                vi.y - vj.y
-            ) <= 0.5 * (vi.width + vj.width):
+            if abs(vi.x - vj.x) <= VEHICLE_LENGTH and abs(vi.y - vj.y) <= VEHICLE_WIDTH:
                 hit[i] = True
                 hit[j] = True
     return hit
 
 
 def _reference_bumper_gap(follower, leader):
-    return leader.x - follower.x - 0.5 * (leader.length + follower.length)
+    return leader.x - follower.x - VEHICLE_LENGTH
 
 
 class ReferenceHighwayEnv(HighwayEnv):

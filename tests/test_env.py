@@ -12,6 +12,8 @@ from highwaylab.env import (
     LATERAL_RATE,
     OBS_DIM,
     SUBSTEPS,
+    VEHICLE_LENGTH,
+    VEHICLE_WIDTH,
     GhrParams,
     HighwayEnv,
     RoadConfig,
@@ -137,26 +139,34 @@ class TestCollision:
             [vehicle(float(rng.uniform(0, 40)), y=float(rng.uniform(0, 8))) for _ in range(6)]
             for _ in range(30)
         ]
-        # Mixed sizes: the sweep window is the longest vehicle, not 5 m.
+        # Dense clouds on a 0.5 m grid: boxes that touch exactly, at
+        # VEHICLE_LENGTH in x or VEHICLE_WIDTH in y, and boxes just past the
+        # sweep window all occur.
         for _ in range(30):
-            cloud = []
-            for _ in range(25):
-                v = vehicle(float(rng.uniform(0, 120)), y=float(rng.uniform(0, 12)))
-                v.length = float(rng.uniform(3.0, 12.0))
-                v.width = float(rng.uniform(1.5, 3.0))
-                cloud.append(v)
-            clouds.append(cloud)
+            clouds.append(
+                [
+                    vehicle(0.5 * float(rng.integers(0, 121)), y=0.5 * float(rng.integers(0, 25)))
+                    for _ in range(25)
+                ]
+            )
+        touching = beyond_window = 0
         for cloud in clouds:
             flags = collision_check(cloud)
             # brute-force pair predicate, both directions
             for i, vi in enumerate(cloud):
                 expected = any(
-                    abs(vi.x - vj.x) <= 0.5 * (vi.length + vj.length)
-                    and abs(vi.y - vj.y) <= 0.5 * (vi.width + vj.width)
+                    abs(vi.x - vj.x) <= VEHICLE_LENGTH and abs(vi.y - vj.y) <= VEHICLE_WIDTH
                     for j, vj in enumerate(cloud)
                     if j != i
                 )
                 assert flags[i] == expected
+                for vj in cloud[i + 1 :]:
+                    dx, dy = abs(vi.x - vj.x), abs(vi.y - vj.y)
+                    touching += (dx == VEHICLE_LENGTH and dy <= VEHICLE_WIDTH) or (
+                        dy == VEHICLE_WIDTH and dx <= VEHICLE_LENGTH
+                    )
+                    beyond_window += dx == VEHICLE_LENGTH + 0.5 and dy <= VEHICLE_WIDTH
+        assert touching > 0 and beyond_window > 0
 
 
 class TestEncoding:
@@ -496,28 +506,27 @@ def _state(env, out):
     return repr(step), out.observation.tobytes()
 
 
-def _add(env, x, y, v, length=5.0, width=2.0):
+def _add(env, x, y, v):
     lane = max(0, round(y / env.road.lane_width))
-    env.add_traffic_vehicle(
-        VehicleState(x=x, y=y, v=v, lane_target=lane, length=length, width=width, target_speed=v)
-    )
+    env.add_traffic_vehicle(VehicleState(x=x, y=y, v=v, lane_target=lane, target_speed=v))
 
 
-def _wide_and_tied(env):
-    # Non-default sizes, and two pairs at equal x in adjacent lanes.
-    _add(env, 60.0, 4.0, 12.0, length=12.0, width=2.6)
-    _add(env, 60.0, 8.0, 14.0, length=3.0, width=1.6)
-    _add(env, 95.0, 0.0, 15.0, length=8.0)
-    _add(env, 95.0, 4.0, 15.0, length=4.0)
+def _tied(env):
+    # Two pairs at equal x in adjacent lanes.
+    _add(env, 60.0, 4.0, 12.0)
+    _add(env, 60.0, 8.0, 14.0)
+    _add(env, 95.0, 0.0, 15.0)
+    _add(env, 95.0, 4.0, 15.0)
 
 
 def _ulp_tie(env, y_first=0.0, y_second=0.0, speeds=(20.0, 20.0, 22.0)):
     # The ego and one follower at -1000 m; two vehicles ahead whose x differ
     # by one ulp, so both dx round to 1001 m and the lower index must win.
+    # Their speeds differ, so the follower's acceleration shows which leads.
     env.ego.x = -1000.0
     _add(env, -1000.0, 0.0, speeds[0])
-    _add(env, float(np.nextafter(1.0, 2.0)), y_first, speeds[1], length=4.0)
-    _add(env, 1.0, y_second, speeds[2], length=9.0)
+    _add(env, float(np.nextafter(1.0, 2.0)), y_first, speeds[1])
+    _add(env, 1.0, y_second, speeds[2])
 
 
 def _ulp_tie_separating(env):
@@ -531,12 +540,13 @@ def _ulp_tie_closing(env):
     # A vehicle closes to two ulps behind a stopped, crashed one in the first
     # sub-step, so seen from 1000 m back their dx round alike and the lower
     # index, the stopped one, leads; the x order and every y hold. Under a
-    # reaction delay the closing vehicle keeps its speed exactly.
+    # reaction delay the closing vehicle keeps its speed exactly. The
+    # stopped one stores 5 m/s, so the follower's acceleration shows it leads.
     env.ego.x = -2000.0
     _add(env, -1000.0, 0.0, 20.0)
-    env.add_traffic_vehicle(VehicleState(x=1.0, y=0.0, v=0.0, crashed=True, length=4.0))
+    env.add_traffic_vehicle(VehicleState(x=1.0, y=0.0, v=5.0, crashed=True))
     closing_x = float(np.nextafter(np.nextafter(0.8, 0.0), 0.0))
-    _add(env, closing_x, 0.0, 2.0, length=9.0)
+    _add(env, closing_x, 0.0, 2.0)
     assert closing_x + 2.0 * DT == np.nextafter(np.nextafter(1.0, 0.0), 0.0)
 
 
@@ -566,10 +576,10 @@ def _ego_accelerating(env):
 
 
 def _wide_beside_traffic(env):
-    # A vehicle wider than a lane, centred on lane 1, overtakes a lane-0
-    # vehicle 20 m ahead of it: their boxes meet across the lane line in the
-    # fifteenth sub-step, though neither leads the other.
-    _add(env, -500.0, 4.0, 30.0, width=9.0)
+    # On lanes narrower than a vehicle, a vehicle centred on lane 1 overtakes
+    # a lane-0 vehicle 20 m ahead of it: their boxes meet across the lane
+    # line in the sixteenth sub-step, though neither leads the other.
+    _add(env, -500.0, env.road.lane_width, 30.0)
     _add(env, -480.0, 0.0, 20.0)
 
 
@@ -603,15 +613,14 @@ def _band_at_kth_substep(env):
     _add(env, -460.0, 4.0, 24.0)
 
 
-def _wide_mover_touching(env):
-    # Vehicles 5 m wide on 4 m lanes: the ego slews from y = 5.4 toward lane
-    # 1 and at the first sub-step, y = 5.0, touches the box of the lane-0
-    # vehicle beside it, exactly at the edge of the band it must watch.
+def _mover_touching(env):
+    # On 4 m lanes the ego slews from y = 2.4 toward lane 0 and at the first
+    # sub-step, y = 2.0, touches the box of the lane-0 vehicle beside it,
+    # exactly at the edge of the band it must watch: VEHICLE_WIDTH away.
     env.ego.x = -500.0
-    env.ego.y = 5.4
-    env.ego.width = 5.0
-    env.ego.lane_target = 1
-    _add(env, -500.0, 0.0, 25.0, width=5.0)
+    env.ego.y = 2.4
+    env.ego.lane_target = 0
+    _add(env, -500.0, 0.0, 25.0)
 
 
 def _traffic_at_negative_zero(env):
@@ -634,11 +643,12 @@ def _ramp_end_ahead(env):
 
 def _crashed_pair(env, front_x=4.0, follower_x=-300.0):
     # Two crashed vehicles overlap in lane 0, the front one added first, and
-    # a live follower closes on them from behind; the ego is far back.
+    # a live follower closes on them from behind; the ego is far back. The
+    # front one stores 3 m/s, so the follower's acceleration shows which leads.
     env.ego.x = -2000.0
     _add(env, follower_x, 0.0, 20.0)
-    env.add_traffic_vehicle(VehicleState(x=front_x, y=0.0, v=0.0, crashed=True, length=4.0))
-    env.add_traffic_vehicle(VehicleState(x=1.0, y=0.0, v=0.0, crashed=True, length=9.0))
+    env.add_traffic_vehicle(VehicleState(x=front_x, y=0.0, v=3.0, crashed=True))
+    env.add_traffic_vehicle(VehicleState(x=1.0, y=0.0, v=0.0, crashed=True))
 
 
 def _crashed_pair_ulp_apart(env):
@@ -649,6 +659,7 @@ def _crashed_pair_ulp_apart(env):
 
 
 HIGHWAY_4 = RoadConfig(lane_count=4)
+NARROW_4 = RoadConfig(lane_count=4, lane_width=1.5)  # lanes narrower than a vehicle
 
 
 class TestKernelParity:
@@ -664,7 +675,7 @@ class TestKernelParity:
             (dict(road=MERGE, ghr=GhrParams(tau=0.5)), None, "random"),
             (
                 dict(road=HIGHWAY_4, n_traffic=8, ghr=GhrParams(c=1.7, m=1.0, l=1.5, tau=0.3)),
-                _wide_and_tied,
+                _tied,
                 "random",
             ),
             (dict(road=HIGHWAY_4, n_traffic=10), _ulp_tie, "random"),
@@ -680,13 +691,13 @@ class TestKernelParity:
             # States a period certificate must not cover too far.
             (dict(road=HIGHWAY_4, n_traffic=8), _crashed_storing_speed, "random"),
             (dict(road=HIGHWAY_4, n_traffic=8), _ego_accelerating, "random"),
-            (dict(road=HIGHWAY_4, n_traffic=8), _wide_beside_traffic, "random"),
+            (dict(road=NARROW_4, n_traffic=8), _wide_beside_traffic, "random"),
             # Certificates that carry a lateral mover.
             (dict(road=HIGHWAY_4, n_traffic=8), _ego_mid_change, "random"),
             (dict(road=HIGHWAY_4, n_traffic=8), _ego_reversing, "random"),
             (dict(road=HIGHWAY_4, n_traffic=8), _band_at_kth_substep, "random"),
             (dict(road=HIGHWAY_4, n_traffic=8), None, "zigzag"),
-            (dict(road=HIGHWAY_4, n_traffic=0), _wide_mover_touching, "random"),
+            (dict(road=HIGHWAY_4, n_traffic=0), _mover_touching, "random"),
             (dict(road=HIGHWAY_4, n_traffic=8), _traffic_at_negative_zero, "random"),
             (dict(road=MERGE), _ramp_end_ahead, "random"),
             (dict(road=HIGHWAY_4, n_traffic=8), _crashed_pair, "random"),
@@ -696,7 +707,7 @@ class TestKernelParity:
             "merge",
             "highway4_20",
             "tau",
-            "wide_tied",
+            "tied",
             "ulp_tie",
             "mid_lane",
             "ulp_tie_separating",
@@ -709,7 +720,7 @@ class TestKernelParity:
             "ego_reversing",
             "band_at_kth_substep",
             "zigzag",
-            "wide_mover_touching",
+            "mover_touching",
             "traffic_at_negative_zero",
             "ramp_end_ahead",
             "crashed_pair",
@@ -750,10 +761,64 @@ class TestKernelParity:
         env.reset(0)
         env.ego.y = 0.0
         _ulp_tie(env, y_first, y_second)
-        _, first, second = env.traffic
+        follower, first, second = env.traffic
         assert first.x - env.ego.x == second.x - env.ego.x
-        expected = first.x - env.ego.x - 0.5 * (first.length + env.ego.length)
-        assert env.ego_leader_gap() == expected
+        vehicles = env.vehicles
+        leaders = _leaders([v.x for v in vehicles], [v.y for v in vehicles], 0.5 * env.road.lane_width)
+        assert leaders[:2] == [2, 2]
+        assert env.ego_leader_gap() == first.x - env.ego.x - VEHICLE_LENGTH
+        p = env.ghr
+        assert ghr_acceleration(follower, first, p) != ghr_acceleration(follower, second, p)
+
+
+def _crafted(kwargs, setup):
+    env = ReferenceHighwayEnv(**kwargs)
+    env.reset(0)
+    setup(env)
+    return env
+
+
+class TestCraftedEdges:
+    """Each crafted state of the parity test reaches the edge it was written for."""
+
+    def test_tied(self):
+        env = _crafted(dict(road=HIGHWAY_4, n_traffic=8), _tied)
+        added = env.traffic[-4:]
+        for a, b in (added[:2], added[2:]):
+            assert a.x == b.x and abs(a.lane_target - b.lane_target) == 1
+
+    def test_ulp_tie_closing(self):
+        env = _crafted(dict(road=HIGHWAY_4, n_traffic=10, ghr=GhrParams(tau=0.3)), _ulp_tie_closing)
+        follower, stopped, closing = env.traffic[-3:]
+        lane_width = env.road.lane_width
+        assert reference_leader_of(follower, env.vehicles, lane_width) is closing
+        env._reference_substep()
+        assert closing.x == np.nextafter(np.nextafter(1.0, 0.0), 0.0)
+        assert stopped.x - follower.x == closing.x - follower.x
+        assert reference_leader_of(follower, env.vehicles, lane_width) is stopped
+        assert stopped.v != closing.v
+
+    def test_wide_beside_traffic(self):
+        env = _crafted(dict(road=NARROW_4, n_traffic=8), _wide_beside_traffic)
+        overtaker, ahead = env.traffic[-2:]
+        lane_width = env.road.lane_width
+        assert lane_width < VEHICLE_WIDTH
+        substeps = 0
+        while not overtaker.crashed:
+            assert reference_leader_of(overtaker, env.vehicles, lane_width) is not ahead
+            assert reference_leader_of(ahead, env.vehicles, lane_width) is not overtaker
+            env._reference_substep()
+            substeps += 1
+        assert substeps == 16 and ahead.crashed and overtaker.y - ahead.y == lane_width
+
+    def test_mover_touching(self):
+        env = _crafted(dict(road=HIGHWAY_4, n_traffic=0), _mover_touching)
+        beside = env.traffic[-1]
+        # The band the ego must watch changes at the first sub-step.
+        assert _certificate_of(env) == (0, [-1, -1], [])
+        env._reference_substep()
+        assert env.ego.y - beside.y == VEHICLE_WIDTH and env.ego.x == beside.x
+        assert env.ego.crashed and beside.crashed
 
 
 def _reference_leaders(env):
@@ -764,12 +829,13 @@ def _reference_leaders(env):
 
 
 def _random_static_state(rng, seed):
-    """A reference env in a random state: lanes of several widths, speeds
-    0-40 m/s, crashed vehicles that store a speed, varied lengths, now and
-    then a vehicle wider than a lane or one off its lane centre, and in half
-    the states an ego anywhere in a lane change to a neighbouring lane."""
+    """A reference env in a random state: lanes of several widths, in one
+    state of ten narrower than a vehicle, speeds 0-40 m/s, crashed vehicles
+    that store a speed, now and then a vehicle off its lane centre, and in
+    half the states an ego anywhere in a lane change to a neighbouring lane."""
     lane_count = int(rng.integers(2, 6))
-    lane_width = float(rng.uniform(3.0, 4.5))
+    narrow = rng.random() < 0.1
+    lane_width = float(rng.uniform(1.2, VEHICLE_WIDTH) if narrow else rng.uniform(3.0, 4.5))
     scenario = "merge" if rng.random() < 0.25 else "highway"
     road = RoadConfig(lane_count=lane_count, lane_width=lane_width, scenario=scenario)
     ghr = GhrParams(tau=float(rng.choice([0.0, 0.3])))
@@ -792,8 +858,6 @@ def _random_static_state(rng, seed):
             y=lane * lane_width,
             v=float(rng.uniform(0.0, 40.0)),
             lane_target=lane,
-            length=float(rng.uniform(3.0, 12.0)),
-            width=float(rng.uniform(4.0, 9.0)) if rng.random() < 0.03 else 2.0,
             crashed=bool(rng.random() < 0.15),
             target_speed=float(rng.uniform(0.0, 40.0)),
         )
@@ -811,8 +875,6 @@ def _certificate_of(env):
         xs,
         [v.y for v in vehicles],
         [v.v for v in vehicles],
-        [v.length for v in vehicles],
-        [v.width for v in vehicles],
         [v.crashed for v in vehicles],
         [env.road.lane_center(v.lane_target) for v in vehicles],
         0.5 * env.road.lane_width,
@@ -825,13 +887,22 @@ class TestCertificate:
         # Sub-steps the certificate proves, each while its watched pairs keep
         # their clearance, bring no overlap of a vehicle that can move and
         # keep every leader. Two crashed vehicles may overlap from the start.
+        # Boxes that meet across a lane line are never proved; `across` counts
+        # the states where they do so on lanes narrower than a vehicle.
         rng = np.random.default_rng(23)
-        certified = longest = with_mover = watched = 0
+        certified = longest = with_mover = watched = across = 0
         for trial in range(1500):
             env = _random_static_state(rng, trial)
             vehicles = env.vehicles
             mover = any(v.y != env.road.lane_center(v.lane_target) and not v.crashed for v in vehicles)
             k, leaders, watch = _certificate_of(env)
+            if any(
+                abs(a.x - b.x) <= VEHICLE_LENGTH and 0.0 < abs(a.y - b.y) <= VEHICLE_WIDTH
+                for i, a in enumerate(vehicles)
+                for b in vehicles[i + 1 :]
+            ):
+                assert leaders is None
+                across += env.road.lane_width < VEHICLE_WIDTH
             if leaders is None:
                 assert k == 0 and watch == []
                 continue
@@ -851,7 +922,7 @@ class TestCertificate:
             watched += proved > 0 and bool(watch)
             with_mover += proved > 0 and mover
         assert certified >= 400 and longest == SUBSTEPS
-        assert with_mover >= 180 and watched >= 200
+        assert with_mover >= 180 and watched >= 200 and across >= 80
 
     def test_mover_within_half_a_lane_of_two_lanes_is_not_proved(self):
         # A crashed vehicle off its lane centre at y = 3.0 makes a lane 3 m
@@ -871,9 +942,14 @@ class TestCertificate:
     def test_crashed_pair_is_exempt_only_at_distinct_x(self, setup, proved):
         # An overlapping crashed pair no longer voids the proof, but one an
         # ulp apart does: there the lane's x order is not the leader rule's.
+        # The follower's leader is the rear one, or the front one of lower
+        # index, and the two store different speeds.
         env = HighwayEnv(road=HIGHWAY_4, n_traffic=0)
         env.reset(0)
         setup(env)
+        _, front, rear = env.traffic
+        assert collision_check([front, rear]).all() and front.x > rear.x and front.v != rear.v
+        assert _reference_leaders(env)[1] == (3 if proved else 2)
         k, leaders, watch = _certificate_of(env)
         if proved:
             assert (k, watch) == (SUBSTEPS, []) and leaders == _reference_leaders(env)
@@ -900,8 +976,8 @@ def _equal_x_ahead(env):
     env.ego.y = 4.0
     env.ego.lane_target = 1
     _add(env, 30.0, 8.0, 20.0)
-    _add(env, 30.0, 5.9, 20.0, length=9.0)
-    _add(env, 30.0, 4.0, 20.0, length=4.0)
+    _add(env, 30.0, 5.9, 20.0)
+    _add(env, 30.0, 4.0, 20.0)
 
 
 def _half_a_lane_aside(env):

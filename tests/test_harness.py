@@ -16,7 +16,7 @@ from highwaylab.actions import N_ACTIONS
 from highwaylab.cli import EXIT_CONFIG, EXIT_DIVERGENCE, EXIT_IO, EXIT_OK, main
 from highwaylab.config import parse_config
 from highwaylab.dqn import DqnConfig, DqnLearner
-from highwaylab.env import OBS_DIM
+from highwaylab.env import DECISION_PERIOD, OBS_DIM
 from highwaylab.errors import CheckpointError, CheckpointFormatError, CheckpointMismatchError
 from highwaylab.harness import (
     EVAL_CSV_COLUMNS,
@@ -205,6 +205,18 @@ class TestRunTrain:
         durations = [float(r[2]) for r in rows]
         assert counts == sorted(counts)
         assert durations == sorted(durations)
+
+    def test_fault_duration_is_the_fault_count_in_decision_periods(self, tmp_path):
+        # A crash or a road departure ends its episode, so each fault lasts
+        # exactly one decision period, and DECISION_PERIOD is exactly 1.0 s.
+        assert DECISION_PERIOD == 1.0
+        out = run_train(parse_config(SMALL_RANDOM), tmp_path)[5]
+        for name, count_at in (("faults.csv", 1), ("metrics.csv", 8)):
+            _, rows = read_csv(out / name)
+            for row in rows:
+                count, duration = row[count_at : count_at + 2]
+                assert float(duration) == int(count) * DECISION_PERIOD, (name, row)
+            assert int(rows[-1][count_at]) > 0
 
 
 class TestTrainingRun:
@@ -652,6 +664,26 @@ class TestCorruptCheckpoint:
         with pytest.raises(CheckpointFormatError, match="env_steps"):
             self.load(path, agent)
 
+    @pytest.mark.parametrize("agent", ["dqn", "ppo"])
+    @pytest.mark.parametrize(
+        "widths, shown",
+        [
+            ({"obs_dim": 99, "n_actions": 7}, "obs_dim 99, n_actions 7"),
+            ({"n_actions": None}, "obs_dim 4, n_actions None"),
+            ({"obs_dim": "4"}, "obs_dim '4', n_actions 3"),
+        ],
+        ids=["other_widths", "no_n_actions", "obs_dim_text"],
+    )
+    def test_meta_widths_not_the_networks(self, tmp_path, agent, widths, shown):
+        def set_widths(sections):
+            meta = json.loads(sections["meta"])
+            meta.update(widths)
+            sections["meta"] = json.dumps({k: v for k, v in meta.items() if v is not None}).encode()
+
+        path = self.saved(tmp_path, agent, set_widths)
+        with pytest.raises(CheckpointFormatError, match=f"gives {shown}; its first network maps 4 to 3"):
+            self.load(path, agent)
+
     def test_cli_exits_with_io_code(self, tmp_path):
         config_path = tmp_path / "cfg.ini"
         config_path.write_text(SMALL_DQN)
@@ -784,7 +816,7 @@ class TestCheckpointFuzz:
     FLIPS = 200
     OUTCOME_DIGESTS = {
         "network": "7c16b8c1647cc4b92dcefc2e7b3c2140222264afec67fb1b07e4664bd9b43c60",
-        "dqn": "b894e48fa9a345b36d018f1cdf5c14f818bbf34c4197bf35382d726a8d904a30",
+        "dqn": "cfcd3be6a58f75d052b238e5f2b3427a52f22ad2bd913b9a70aee574e4f32a91",
         "ppo": "2b81119c988171ab57c6e7d9686b8eaeaae79c88bf199b01a120da57fcc371ca",
     }
     AGENTS = {
