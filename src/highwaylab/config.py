@@ -128,7 +128,6 @@ _HELP: dict[str, dict[str, str]] = {
         "ghr_c": "car-following gain",
         "ghr_m": "car-following speed exponent",
         "ghr_l": "car-following spacing exponent",
-        "ghr_tau": "car-following reaction delay in seconds",
     },
     "reward": {
         "w_safety": "weight of the safety term",
@@ -269,7 +268,7 @@ class _SectionView:
             return cls(**values)
         except ValueError as exc:
             message = str(exc)
-            if message.partition(" ")[0] in values:  # e.g. GhrParams says "tau", not "ghr_tau"
+            if message.partition(" ")[0] in values:  # e.g. GhrParams says "c", not "ghr_c"
                 message = prefix + message
             raise self.blame(message) from exc
 
@@ -308,8 +307,10 @@ def parse_config(text: str, origin: str = "<config>") -> ExperimentConfig:
 
 def load_config(path) -> ExperimentConfig:
     try:
-        with open(path, "r", encoding="utf-8") as f:
-            text = f.read()
+        with open(path, "rb") as f:
+            text = f.read().decode("utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not valid UTF-8 at byte {exc.start}: {exc.reason}") from exc
     return parse_config(text, origin=str(path))

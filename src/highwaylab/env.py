@@ -28,7 +28,6 @@ in every vehicle state is bitwise reproducible across runs and platforms.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -65,8 +64,6 @@ _MIN_SPAWN_CENTRE_DIST = MIN_SPAWN_GAP + VEHICLE_LENGTH
 VEHICLE_WIDTH = 2.0
 DEFAULT_N_TRAFFIC = 6
 DEFAULT_HORIZON = 40  # decision steps
-# Bounds GhrParams.tau / DT, the length of every traffic vehicle's delay queue.
-MAX_DELAY_SUBSTEPS = 1_000
 
 OBS_RANGE_X = 100.0  # m
 OBS_RANGE_Y = 12.0  # m
@@ -117,15 +114,12 @@ class GhrParams:
     c: float = bound(15.0, 0, strict=True)
     m: float = bound(0.0, 0)  # a stopped follower would divide by 0.0**m if m < 0
     l: float = bound(2.0, 0)
-    tau: float = bound(0.0, 0)  # reaction delay, s, rounded to whole sub-steps
 
     def __post_init__(self) -> None:
-        for name in ("c", "m", "l", "tau"):
+        for name in ("c", "m", "l"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
         check_bounds(self)
-        if self.tau / DT > MAX_DELAY_SUBSTEPS:
-            raise ValueError(f"tau must be <= {MAX_DELAY_SUBSTEPS * DT:g} s")
 
 
 @dataclass
@@ -414,8 +408,6 @@ class HighwayEnv:
 
         self._ego: VehicleState | None = None
         self._traffic: list[VehicleState] = []
-        self._delay_queues: list[deque] = []
-        self._delay_substeps = 0
         self._steps = 0
         self._substeps = 0
         self._off_road = False
@@ -514,11 +506,6 @@ class HighwayEnv:
                 VehicleState(x=x, y=y, v=v, lane_target=lane, target_speed=v)
             )
 
-        self._delay_substeps = int(round(self.ghr.tau / DT))
-        self._delay_queues = [
-            deque([0.0] * self._delay_substeps, maxlen=max(self._delay_substeps, 1))
-            for _ in self._traffic
-        ]
         self._steps = 0
         self._substeps = 0
         self._off_road = False
@@ -534,9 +521,6 @@ class HighwayEnv:
         if self._ego is None:
             raise EnvStateError("environment has not been reset")
         self._traffic.append(vehicle)
-        self._delay_queues.append(
-            deque([0.0] * self._delay_substeps, maxlen=max(self._delay_substeps, 1))
-        )
 
     def _spawn_fits(self, x: float, y: float, half_lane: float) -> bool:
         """No vehicle placed yet, the ego included, is this close in both y and x."""
@@ -651,7 +635,6 @@ class HighwayEnv:
         on_ramp = [False] * n if ramp is None else [v.lane_target == ramp for v in vehicles]
         low, high = road.y_bounds
         c, m, l = self.ghr.c, self.ghr.m, self.ghr.l
-        queues = [None] * n if self._delay_substeps == 0 else [None, *self._delay_queues]
 
         brake = -A_MAX
         length = VEHICLE_LENGTH
@@ -665,7 +648,7 @@ class HighwayEnv:
                 leaders = _leaders(xs, ys, half)
             leaders[0] = -1  # the ego tracks its target speed whatever leads it
             plan = [
-                (i, j, target_speeds[i], on_ramp[i], queues[i])
+                (i, j, target_speeds[i], on_ramp[i])
                 for i, j in zip(order, map(leaders.__getitem__, order))
                 if not crashed[i]
             ]
@@ -673,7 +656,7 @@ class HighwayEnv:
                 (i, target_ys[i]) for i in order if ys[i] != target_ys[i] and not crashed[i]
             ]
             while True:
-                for i, j, target_speed, ramp_i, queue in plan:
+                for i, j, target_speed, ramp_i in plan:
                     v = vs[i]
                     x = xs[i]
                     if ramp_i and x >= ramp_end:
@@ -686,10 +669,6 @@ class HighwayEnv:
                             # v**0.0 is 1.0 and c * 1.0 is c for every float.
                             a = brake if gap <= 0.0 else (c * v**m if m else c) * (vs[j] - v) / gap**l
                         a = brake if a < brake else A_MAX if a > A_MAX else a
-                        if queue:  # a reaction delay
-                            delayed = queue[0]
-                            queue.append(a)
-                            a = delayed
                     accs[i] = a
                     v += a * DT
                     v = 0.0 if v < 0.0 else V_LIMIT if v > V_LIMIT else v

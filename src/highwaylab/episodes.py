@@ -45,7 +45,7 @@ class EpisodeDriver:
     """Steps one environment through consecutive seeded episodes.
 
     Episode i starts with ``env.reset(episode_seed_fn(i))``, followed by
-    ``policy.reset(policy_seed_fn(i), env)`` when a policy seed function is
+    ``policy.reset(policy_seed_fn(i))`` when a policy seed function is
     given. A step takes the policy's action (or the one passed in), steps
     the environment, adds the step to ``stats`` and then calls the one
     per-step hook, ``on_step(obs, action, outcome)``, when one is given. An
@@ -74,7 +74,7 @@ class EpisodeDriver:
     def reset(self) -> None:
         self.obs = self.env.reset(self.episode_seed_fn(self.episode_index))
         if self.policy_seed_fn is not None:
-            self.policy.reset(self.policy_seed_fn(self.episode_index), self.env)
+            self.policy.reset(self.policy_seed_fn(self.episode_index))
         self.stats = EpisodeStats(self.env.ego_lane())
 
     def step(self, action: int | None = None, auto_reset: bool = True) -> StepOutcome:

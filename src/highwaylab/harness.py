@@ -220,7 +220,7 @@ class RandomPolicy:
     def __init__(self, tag: int = _TAG_RANDOM_EVAL):
         self._tag = tag
 
-    def reset(self, episode_seed: int, env: HighwayEnv) -> None:
+    def reset(self, episode_seed: int) -> None:
         self._rng = np.random.default_rng(derive_seed(episode_seed, self._tag))
 
     def act(self, obs: np.ndarray) -> int:
@@ -235,7 +235,7 @@ class RulePolicy:
             lane_width=config.env.road.lane_width,
         )
 
-    def reset(self, episode_seed: int, env: HighwayEnv) -> None:
+    def reset(self, episode_seed: int) -> None:
         self._agent.reset()
 
     def act(self, obs: np.ndarray) -> int:
@@ -249,7 +249,7 @@ class GreedyPolicy:
         self._spec = spec
         self._params = params
 
-    def reset(self, episode_seed: int, env: HighwayEnv) -> None:
+    def reset(self, episode_seed: int) -> None:
         pass
 
     def act(self, obs: np.ndarray) -> int:

@@ -632,7 +632,7 @@ def load_agent(cls, path, config, seed):
         raise CheckpointMismatchError("checkpoint has no meta section")
     try:
         meta = json.loads(sections["meta"].decode("utf-8"))
-    except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError
+    except (ValueError, RecursionError) as exc:  # also nesting too deep to decode
         raise CheckpointFormatError(f"checkpoint meta is not UTF-8 JSON: {exc}") from None
     if not isinstance(meta, dict):
         raise CheckpointFormatError("checkpoint meta is not a JSON object")

@@ -179,7 +179,7 @@ class ReferenceHighwayEnv(HighwayEnv):
         else:
             ego.a = self._speed_tracking(ego.v, ego.target_speed)
 
-        for idx, vehicle in enumerate(self._traffic):
+        for vehicle in self._traffic:
             if vehicle.crashed:
                 vehicle.a = 0.0
                 continue
@@ -187,13 +187,7 @@ class ReferenceHighwayEnv(HighwayEnv):
                 vehicle.a = -A_MAX
                 continue
             leader = reference_leader_of(vehicle, everyone, self.road.lane_width)
-            command = self._ghr(vehicle, leader)
-            if self._delay_substeps > 0:
-                queue = self._delay_queues[idx]
-                delayed = queue[0]
-                queue.append(command)
-                command = delayed
-            vehicle.a = command
+            vehicle.a = self._ghr(vehicle, leader)
 
         # Phase 2: integrate every non-crashed vehicle.
         for vehicle in everyone:

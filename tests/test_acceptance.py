@@ -338,7 +338,7 @@ def _policy_fault_count(config, policy, run_seed, steps):
     log = FaultLog()
     episode = 0
     obs = env.reset(train_episode_seed(run_seed, episode))
-    policy.reset(0, env)
+    policy.reset(0)
     step = 0
     while step < steps:
         out = env.step(policy.act(obs))
@@ -348,7 +348,7 @@ def _policy_fault_count(config, policy, run_seed, steps):
             log.episode_reset()
             episode += 1
             obs = env.reset(train_episode_seed(run_seed, episode))
-            policy.reset(0, env)
+            policy.reset(0)
         else:
             obs = out.observation
     return log.count

@@ -19,7 +19,7 @@ from highwaylab.config import (
     parse_config,
 )
 from highwaylab.dqn import MAX_BUFFER_CAPACITY, DqnConfig
-from highwaylab.env import DT, MAX_DELAY_SUBSTEPS, OBS_DIM, GhrParams, RoadConfig
+from highwaylab.env import OBS_DIM, GhrParams, RoadConfig
 from highwaylab.errors import ConfigError
 from highwaylab.nets import MAX_NETWORK_PARAMETERS, NetworkSpec
 from highwaylab.ppo import MAX_ROLLOUT_LENGTH, PpoConfig
@@ -278,8 +278,8 @@ def test_one_mutation_messages_are_pinned():
                         outcomes.append("ok")
                     except ConfigError as exc:
                         outcomes.append(str(exc))
-    assert len(outcomes) == 10_600
-    digest = "300ee1ab8cb41910aace0a153b0d39c264bb01ecb2e578fe31fb786bfc31428f"
+    assert len(outcomes) == 10_388
+    digest = "d6240c79f93ab20f2b09b4e77d06f2b8fe2580e479b00de78870be6ffa8babdf"
     assert sha256(json.dumps(outcomes)) == digest
 
 
@@ -293,12 +293,10 @@ class TestSizeBounds:
     def test_values_at_the_bounds_parse(self):
         cfg = parse_config(
             f"[experiment]\nagent = dqn\n"
-            f"[env]\nghr_tau = {MAX_DELAY_SUBSTEPS * DT!r}\n"
             f"[dqn]\nbuffer_capacity = {MAX_BUFFER_CAPACITY}\nhidden_sizes = {WIDEST}\n"
             f"[ppo]\nrollout_length = {MAX_ROLLOUT_LENGTH}\nminibatch_size = 1\n"
             f"hidden_sizes = {WIDEST}\n"
         )
-        assert cfg.env.ghr.tau / DT == MAX_DELAY_SUBSTEPS
         assert cfg.dqn.buffer_capacity == MAX_BUFFER_CAPACITY
         assert cfg.ppo.rollout_length == MAX_ROLLOUT_LENGTH
         assert NetworkSpec((OBS_DIM, WIDEST, N_ACTIONS)).n_params <= MAX_NETWORK_PARAMETERS
@@ -315,8 +313,6 @@ class TestSizeBounds:
             ("dqn", f"hidden_sizes = {WIDEST + 1}"),
             ("ppo", f"hidden_sizes = {WIDEST + 1}"),
             ("ppo", f"hidden_sizes = 64, {10**30}"),
-            ("env", f"ghr_tau = {(MAX_DELAY_SUBSTEPS + 1) * DT!r}"),
-            ("env", "ghr_tau = 1e300"),
         ],
     )
     def test_values_past_the_bounds_blame_the_key_line(self, section, lines):
@@ -366,16 +362,16 @@ class TestOneSourceOfTruth:
 
     def test_describe_keys_is_pinned(self):
         # `highwaylab --help` prints this text: key order, types, defaults, help.
-        digest = "b8debb7647a54cd40d568e7adc227d8db3472db016dd92209adfea6aff4aedad"
+        digest = "94a5230477bf5e7e95190bc17cc3d6c5d1580dacb6f31ae840b09e5f618de937"
         assert sha256(describe_keys()) == digest
 
     @pytest.mark.parametrize(
         "name, digest",
         [
-            ("highway_rules.ini", "e5fa852ca545b4acd9f91f0d244df7594ee0af6973ee2907b89a0f29d62a36f6"),
-            ("merge_compare.ini", "7e88eeb9b44bc3a919d9e5a9f9aa2f8ad44c3b6290cbd3fe9bcf4472eff8dfb8"),
-            ("merge_dqn.ini", "2d8ddb6ad4cf094f0ae2993d8e3b3c5d271aa08ea3f0c6d2ee0eeade33b9fd14"),
-            ("merge_ppo.ini", "b40c07d15da55d61b75a4749ea038a81071284cdb46236433942eea8c2a93fb2"),
+            ("highway_rules.ini", "0ee00500065871ca99e9358af516b355856ba0b140cce1784ae9347c5761513f"),
+            ("merge_compare.ini", "23093d908155cd1d33127041db9fbe1e7595fd11902b1b1c8e8b1fedecb91cb9"),
+            ("merge_dqn.ini", "f65deeb26f760d3775a43ba0aee4c6598568b1b09383694081448152b1f5ca28"),
+            ("merge_ppo.ini", "7114dbb5b51c8be91d9ec5e0a68bba7abc00de427743e4eb74b887440670de68"),
         ],
     )
     def test_shipped_config_parses_to_pinned_values(self, name, digest):

@@ -97,11 +97,11 @@ class TestGhr:
         with pytest.raises(ValueError):
             GhrParams(c=0.0)
         with pytest.raises(ValueError):
-            GhrParams(tau=-1.0)
+            GhrParams(m=-1.0)
 
     @pytest.mark.parametrize(
         "field, value",
-        [("c", float("nan")), ("m", float("inf")), ("l", float("nan")), ("tau", float("inf"))],
+        [("c", float("nan")), ("m", float("inf")), ("l", float("nan")), ("c", float("inf"))],
     )
     def test_non_finite_params_rejected(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must be finite"):
@@ -436,20 +436,6 @@ class TestTrafficDynamics:
         assert not fast.crashed and not slow.crashed
         assert slow.x - fast.x > 5.0  # still a positive bumper gap
 
-    def test_reaction_delay_shifts_response(self):
-        def follower_speed_after_one_period(tau):
-            env = HighwayEnv(ghr=GhrParams(tau=tau), n_traffic=0)
-            env.reset(0)
-            env.ego.y = 0.0
-            env.ego.lane_target = 0
-            # fast follower closing on the ego from behind
-            env.add_traffic_vehicle(vehicle(-20.0, y=0.0, v=30.0, lane=0, target=30.0))
-            env.step(EgoAction.IDLE)
-            return env.traffic[0].v
-
-        # a delayed follower starts braking later, so it is still faster
-        assert follower_speed_after_one_period(0.5) > follower_speed_after_one_period(0.0)
-
 
 class TestInvariants:
     def test_full_trajectory_bitwise_deterministic(self):
@@ -539,14 +525,16 @@ def _ulp_tie_separating(env):
 def _ulp_tie_closing(env):
     # A vehicle closes to two ulps behind a stopped, crashed one in the first
     # sub-step, so seen from 1000 m back their dx round alike and the lower
-    # index, the stopped one, leads; the x order and every y hold. Under a
-    # reaction delay the closing vehicle keeps its speed exactly. The
+    # index, the stopped one, leads; the x order and every y hold. The
+    # closing vehicle's bumper already meets the stopped one's, so it brakes
+    # at -A_MAX from 2.5 m/s to exactly 2.0 m/s before it moves. The
     # stopped one stores 5 m/s, so the follower's acceleration shows it leads.
     env.ego.x = -2000.0
     _add(env, -1000.0, 0.0, 20.0)
     env.add_traffic_vehicle(VehicleState(x=1.0, y=0.0, v=5.0, crashed=True))
     closing_x = float(np.nextafter(np.nextafter(0.8, 0.0), 0.0))
-    _add(env, closing_x, 0.0, 2.0)
+    _add(env, closing_x, 0.0, 2.5)
+    assert 2.5 + -A_MAX * DT == 2.0
     assert closing_x + 2.0 * DT == np.nextafter(np.nextafter(1.0, 0.0), 0.0)
 
 
@@ -672,20 +660,15 @@ class TestKernelParity:
         [
             (dict(road=MERGE), None, "random"),
             (dict(road=HIGHWAY_4, n_traffic=20), None, "random"),
-            (dict(road=MERGE, ghr=GhrParams(tau=0.5)), None, "random"),
             (
-                dict(road=HIGHWAY_4, n_traffic=8, ghr=GhrParams(c=1.7, m=1.0, l=1.5, tau=0.3)),
+                dict(road=HIGHWAY_4, n_traffic=8, ghr=GhrParams(c=1.7, m=1.0, l=1.5)),
                 _tied,
                 "random",
             ),
             (dict(road=HIGHWAY_4, n_traffic=10), _ulp_tie, "random"),
             (dict(road=RoadConfig(), n_traffic=12), _mid_lane, "random"),
             (dict(road=HIGHWAY_4, n_traffic=10), _ulp_tie_separating, "random"),
-            (
-                dict(road=HIGHWAY_4, n_traffic=10, ghr=GhrParams(tau=0.3)),
-                _ulp_tie_closing,
-                "random",
-            ),
+            (dict(road=HIGHWAY_4, n_traffic=10), _ulp_tie_closing, "random"),
             # Long rule-driven episodes, most of whose sub-steps are certified.
             (dict(road=HIGHWAY_4, n_traffic=20), None, "rules"),
             # States a period certificate must not cover too far.
@@ -706,7 +689,6 @@ class TestKernelParity:
         ids=[
             "merge",
             "highway4_20",
-            "tau",
             "tied",
             "ulp_tie",
             "mid_lane",
@@ -788,7 +770,7 @@ class TestCraftedEdges:
             assert a.x == b.x and abs(a.lane_target - b.lane_target) == 1
 
     def test_ulp_tie_closing(self):
-        env = _crafted(dict(road=HIGHWAY_4, n_traffic=10, ghr=GhrParams(tau=0.3)), _ulp_tie_closing)
+        env = _crafted(dict(road=HIGHWAY_4, n_traffic=10), _ulp_tie_closing)
         follower, stopped, closing = env.traffic[-3:]
         lane_width = env.road.lane_width
         assert reference_leader_of(follower, env.vehicles, lane_width) is closing
@@ -838,8 +820,8 @@ def _random_static_state(rng, seed):
     lane_width = float(rng.uniform(1.2, VEHICLE_WIDTH) if narrow else rng.uniform(3.0, 4.5))
     scenario = "merge" if rng.random() < 0.25 else "highway"
     road = RoadConfig(lane_count=lane_count, lane_width=lane_width, scenario=scenario)
-    ghr = GhrParams(tau=float(rng.choice([0.0, 0.3])))
-    env = ReferenceHighwayEnv(road=road, n_traffic=0, ghr=ghr)
+    rng.choice([0.0, 0.3])  # drawn and discarded, so the draws after it stay the same
+    env = ReferenceHighwayEnv(road=road, n_traffic=0)
     env.reset(seed)
     lane = int(rng.integers(lane_count))
     env.ego.x = float(rng.uniform(0.0, 150.0))

@@ -503,12 +503,18 @@ class TestCli:
         config_path.write_text("[experiment]\nagent = dqn\nwheels = 4\n")
         assert main(["train", "--config", str(config_path)]) == EXIT_CONFIG
 
+    def test_config_not_utf8_exit_code(self, tmp_path, capsys):
+        config_path = tmp_path / "bad.ini"
+        config_path.write_bytes(b"[experiment]\n# caf\xe9\nagent = dqn\n")
+        assert main(["train", "--config", str(config_path)]) == EXIT_CONFIG
+        assert f"{config_path}: not valid UTF-8 at byte 18" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "line, message",
         [
             ("ghr_c = nan", "bad value for 'ghr_c'"),
             ("ghr_m = -1", "ghr_m must be >= 0"),
-            ("ghr_tau = 1e300", "ghr_tau must be <= 100 s"),
+            ("ghr_tau = 0.3", "unknown key 'ghr_tau'"),
         ],
     )
     def test_bad_ghr_value_exit_code(self, tmp_path, capsys, line, message):
@@ -653,6 +659,15 @@ class TestCorruptCheckpoint:
         with pytest.raises(CheckpointFormatError):
             self.load(path, agent)
 
+    # Valid JSON nested deeper than the decoder's recursion limit.
+    DEEP_META = b"[" * 100_000 + b"]" * 100_000
+
+    @pytest.mark.parametrize("agent", ["dqn", "ppo"])
+    def test_meta_nested_too_deep(self, tmp_path, agent):
+        path = self.saved(tmp_path, agent, lambda s: s.update(meta=self.DEEP_META))
+        with pytest.raises(CheckpointFormatError, match="meta is not UTF-8 JSON"):
+            self.load(path, agent)
+
     @pytest.mark.parametrize("agent", ["dqn", "ppo"])
     def test_meta_without_counter(self, tmp_path, agent):
         def drop_counter(sections):
@@ -687,9 +702,10 @@ class TestCorruptCheckpoint:
     def test_cli_exits_with_io_code(self, tmp_path):
         config_path = tmp_path / "cfg.ini"
         config_path.write_text(SMALL_DQN)
-        path = self.saved(tmp_path, "dqn", lambda s: s.update(meta=b"not json"))
-        args = ["eval", "--config", str(config_path), "--checkpoint", str(path)]
-        assert main(args + ["--out", str(tmp_path / "ev")]) == EXIT_IO
+        for meta in (b"not json", self.DEEP_META):
+            path = self.saved(tmp_path, "dqn", lambda s: s.update(meta=meta))
+            args = ["eval", "--config", str(config_path), "--checkpoint", str(path)]
+            assert main(args + ["--out", str(tmp_path / "ev")]) == EXIT_IO
 
     @pytest.mark.parametrize(
         "agent, digest",
