@@ -308,7 +308,8 @@ def parse_config(text: str, origin: str = "<config>") -> ExperimentConfig:
 def load_config(path) -> ExperimentConfig:
     try:
         with open(path, "rb") as f:
-            text = f.read().decode("utf-8")
+            # A byte-order mark is dropped after decoding, so error offsets count from byte 0.
+            text = f.read().decode("utf-8").removeprefix("\ufeff")
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     except UnicodeDecodeError as exc:

@@ -186,8 +186,6 @@ class DqnLearner(CheckpointedLearner):
 
     def __init__(self, obs_dim: int, n_actions: int = N_ACTIONS, config: DqnConfig | None = None, seed: int = 0):
         self.config = config if config is not None else DqnConfig()
-        self.obs_dim = obs_dim
-        self.n_actions = n_actions
         root = np.random.SeedSequence(seed)
         init_seed, action_seed, replay_seed = root.spawn(3)
         self.spec = NetworkSpec((obs_dim, *self.config.hidden_sizes, n_actions))

@@ -409,7 +409,6 @@ class HighwayEnv:
         self._ego: VehicleState | None = None
         self._traffic: list[VehicleState] = []
         self._steps = 0
-        self._substeps = 0
         self._off_road = False
         self._active = False
 
@@ -431,11 +430,7 @@ class HighwayEnv:
 
     @property
     def sim_time(self) -> float:
-        return self._substeps * DT
-
-    @property
-    def ego_target_speed(self) -> float:
-        return self.ego.target_speed
+        return self._steps * SUBSTEPS * DT
 
     @property
     def episode_active(self) -> bool:
@@ -507,7 +502,6 @@ class HighwayEnv:
             )
 
         self._steps = 0
-        self._substeps = 0
         self._off_road = False
         self._active = True
         return encode_observation(self._ego, self._traffic, self.road.lane_width)
@@ -708,5 +702,4 @@ class HighwayEnv:
             vehicle.a = a
             vehicle.crashed = stopped
         self._off_road = off_road
-        self._substeps += SUBSTEPS
         return abs_accel_sum

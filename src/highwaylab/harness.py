@@ -10,7 +10,7 @@ see identical episode layouts.
 Per-seed training output directory:
 
     metrics.csv   one row per finished episode (schema in TRAIN_CSV_COLUMNS)
-    faults.csv    per-step cumulative fault count and open-fault seconds
+    faults.csv    per-step cumulative fault count and fault seconds
     eval.csv      one row per periodic deterministic evaluation
     checkpoint_final.bin / checkpoint_best.bin   (learned agents only)
 """
@@ -144,45 +144,24 @@ def _sample_std(values) -> float:
 # ---------------------------------------------------------------------------
 
 
-class FaultLog:
-    """Cumulative fault count and open-fault duration, sampled every step.
+class TrainRecorder:
+    """Per-episode rows, the 100-episode moving window and the per-step fault rows.
 
-    A fault opens on the first step where the ego is crashed or off the
-    road and closes at the next episode reset; duration accrues one decision
-    period per step while a fault is open, the opening step included. A
-    crash or a road departure ends its episode, so every fault lasts one
-    step and ``duration_s`` is always ``count * DECISION_PERIOD`` exactly.
+    A fault is a step on which the ego is crashed or off the road. Either
+    ends its episode, so every fault lasts one decision period and the
+    cumulative fault seconds are ``faults * DECISION_PERIOD``.
     """
 
-    def __init__(self):
-        self.count = 0
-        self.duration_s = 0.0
-        self.rows: list[tuple[int, int, float]] = []
-        self._open = False
-
-    def record_step(self, global_step: int, faulted: bool) -> None:
-        if faulted and not self._open:
-            self._open = True
-            self.count += 1
-        if self._open:
-            self.duration_s += DECISION_PERIOD
-        self.rows.append((global_step, self.count, self.duration_s))
-
-    def episode_reset(self) -> None:
-        self._open = False
-
-
-class TrainRecorder:
-    """Per-episode rows, the 100-episode moving window and the fault log."""
-
     def __init__(self, window: int = 100):
-        self.faults = FaultLog()
+        self.faults = 0
+        self.fault_rows: list[tuple[int, int, float]] = []
         self._window = deque(maxlen=window)
         self.metric_rows: list[tuple] = []
 
     def on_step(self, stats: EpisodeStats, outcome: StepOutcome, global_step: int) -> None:
         info = outcome.info
-        self.faults.record_step(global_step, info["crashed"] or info["off_road"])
+        self.faults += info["crashed"] or info["off_road"]
+        self.fault_rows.append((global_step, self.faults, self.faults * DECISION_PERIOD))
         if not (outcome.terminated or outcome.truncated):
             return
         ret = round9(stats.total)  # window statistics must match the file
@@ -198,15 +177,14 @@ class TrainRecorder:
                 stats.off_road,
                 float(np.mean(window)),
                 _sample_std(window),
-                self.faults.count,
-                self.faults.duration_s,
+                self.faults,
+                self.faults * DECISION_PERIOD,
             )
         )
-        self.faults.episode_reset()  # no step is logged before the next reset
 
     def write(self, out_dir: Path) -> None:
         _write_csv(out_dir / "metrics.csv", TRAIN_CSV_COLUMNS, self.metric_rows)
-        _write_csv(out_dir / "faults.csv", FAULTS_CSV_COLUMNS, self.faults.rows)
+        _write_csv(out_dir / "faults.csv", FAULTS_CSV_COLUMNS, self.fault_rows)
 
 
 # ---------------------------------------------------------------------------

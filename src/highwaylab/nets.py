@@ -14,6 +14,7 @@ Hidden layers apply the configured activation; the output layer is linear.
 from __future__ import annotations
 
 import contextlib
+import io
 import json
 import math
 import os
@@ -403,28 +404,42 @@ def network_to_bytes(spec: NetworkSpec, params: ParameterSet) -> bytes:
 
 
 class _Reader:
-    """Takes fields in order from bytes, as views, without copying them."""
+    """Takes fields in order from a binary stream of a known size, keeping a running
+    CRC32 of the bytes it took."""
 
-    def __init__(self, data: bytes, what: str):
-        self.data = memoryview(data)
-        self.size = len(self.data)
+    def __init__(self, stream, size: int, what: str):
+        self.stream = stream
+        self.size = size
         self.offset = 0
         self.what = what
+        self.crc = 0
 
-    def _read(self, n: int):
-        return self.data[self.offset : self.offset + n]
-
-    def crc_so_far(self) -> int:
-        return zlib.crc32(self.data[: self.offset])
-
-    def take(self, n: int):
+    def _claim(self, n: int) -> None:
         if self.offset + n > self.size:
             raise CheckpointTruncatedError(
                 f"{self.what}: file ends at byte {self.size}, needed {self.offset + n}"
             )
-        chunk = self._read(n)
+
+    def _advance(self, chunk, got: int, n: int) -> None:
+        if got != n:  # the file shrank since its size was taken
+            raise CheckpointTruncatedError(
+                f"{self.what}: file ends at byte {self.offset + got}, needed {self.offset + n}"
+            )
+        self.crc = zlib.crc32(chunk, self.crc)
         self.offset += n
+
+    def take(self, n: int) -> bytes:
+        self._claim(n)
+        chunk = self.stream.read(n)
+        self._advance(chunk, len(chunk), n)
         return chunk
+
+    def take_floats(self, count: int) -> np.ndarray:
+        """``count`` little-endian float64s, read into the array that is returned."""
+        self._claim(count * 8)  # before the array is allocated
+        values = np.empty(count, "<f8")
+        self._advance(values, self.stream.readinto(values), count * 8)
+        return values
 
     def unpack(self, fmt: str):
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
@@ -436,39 +451,15 @@ class _Reader:
             )
 
 
-class _FileReader(_Reader):
-    """Takes fields in order from an open file, keeping a running CRC of what it read."""
-
-    def __init__(self, f, what: str):
-        self.file = f
-        self.size = os.fstat(f.fileno()).st_size
-        self.offset = 0
-        self.what = what
-        self.crc = 0
-
-    def _read(self, n: int) -> bytes:
-        chunk = self.file.read(n)
-        if len(chunk) != n:  # the file shrank since it was opened
-            raise CheckpointTruncatedError(
-                f"{self.what}: file ends at byte {self.offset + len(chunk)}, "
-                f"needed {self.offset + n}"
-            )
-        self.crc = zlib.crc32(chunk, self.crc)
-        return chunk
-
-    def crc_so_far(self) -> int:
-        return self.crc
-
-
 def _check_crc(reader: _Reader, what: str) -> None:
-    actual = reader.crc_so_far()
+    actual = reader.crc
     (stored,) = reader.unpack("<I")
     if stored != actual:
         raise CheckpointChecksumError(f"{what}: CRC32 mismatch")
 
 
 def network_from_bytes(data: bytes) -> tuple[NetworkSpec, ParameterSet]:
-    r = _Reader(data, "network checkpoint")
+    r = _Reader(io.BytesIO(data), len(data), "network checkpoint")
     if r.take(4) != _MAGIC_NETWORK:
         raise CheckpointFormatError("network checkpoint: bad magic")
     (version,) = r.unpack("<I")
@@ -484,7 +475,7 @@ def network_from_bytes(data: bytes) -> tuple[NetworkSpec, ParameterSet]:
     if act_code not in _ACTIVATION_NAMES:
         raise CheckpointFormatError(f"network checkpoint: bad activation code {act_code}")
     (count,) = r.unpack("<Q")
-    raw = r.take(count * 8)
+    values = r.take_floats(count)
     _check_crc(r, "network checkpoint")
     r.expect_end("checksum")
     try:
@@ -493,7 +484,7 @@ def network_from_bytes(data: bytes) -> tuple[NetworkSpec, ParameterSet]:
             raise CheckpointFormatError(
                 f"network checkpoint: {count} parameters but spec needs {spec.n_params}"
             )
-        return spec, ParameterSet._adopt(np.frombuffer(raw, dtype="<f8").astype(np.float64))
+        return spec, ParameterSet._adopt(values)
     except ValueError as exc:  # a layer size of 0 or a non-finite parameter
         raise CheckpointFormatError(f"network checkpoint: {exc}") from None
 
@@ -532,7 +523,7 @@ def write_archive(path, sections: list[tuple[str, bytes]]) -> None:
 
 def read_archive(path) -> dict[str, bytes]:
     with open(path, "rb") as f:
-        r = _FileReader(f, "checkpoint archive")
+        r = _Reader(f, os.fstat(f.fileno()).st_size, "checkpoint archive")
         if r.take(4) != _MAGIC_ARCHIVE:
             raise CheckpointFormatError("checkpoint archive: bad magic")
         (version,) = r.unpack("<I")
@@ -575,10 +566,10 @@ def adam_to_bytes(state: AdamState) -> bytes:
 
 
 def adam_from_bytes(data: bytes) -> AdamState:
-    r = _Reader(data, "optimizer state")
+    r = _Reader(io.BytesIO(data), len(data), "optimizer state")
     t, lr, beta1, beta2, eps, n = r.unpack("<QddddQ")
-    m = np.frombuffer(r.take(n * 8), dtype="<f8").astype(np.float64)
-    v = np.frombuffer(r.take(n * 8), dtype="<f8").astype(np.float64)
+    m = r.take_floats(n)
+    v = r.take_floats(n)
     r.expect_end("second moments")
     # Out-of-range values would make the next adam_step write non-finite parameters.
     if not (0 < lr < math.inf and 0 <= beta1 < 1 and 0 <= beta2 < 1 and 0 < eps < math.inf):

@@ -304,8 +304,6 @@ class PpoLearner(CheckpointedLearner):
 
     def __init__(self, obs_dim: int, n_actions: int = N_ACTIONS, config: PpoConfig | None = None, seed: int = 0):
         self.config = config if config is not None else PpoConfig()
-        self.obs_dim = obs_dim
-        self.n_actions = n_actions
         root = np.random.SeedSequence(seed)
         policy_seed, value_seed, action_seed, shuffle_seed = root.spawn(4)
         hidden = self.config.hidden_sizes

@@ -211,7 +211,6 @@ class ReferenceHighwayEnv(HighwayEnv):
         low, high = self.road.y_bounds
         if not self._off_road and not (low <= ego.y <= high):
             self._off_road = True
-        self._substeps += 1
 
 
 # ---------------------------------------------------------------------------

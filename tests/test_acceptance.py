@@ -8,7 +8,10 @@ They carry the `slow` marker, so `pytest -m "not slow"` leaves them out.
 """
 
 import functools
+import multiprocessing
+import os
 import time
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -20,9 +23,9 @@ from highwaylab.config import parse_config
 from highwaylab.dqn import DqnConfig, DqnLearner, Transition
 from highwaylab.env import HighwayEnv, RoadConfig
 from highwaylab.harness import (
-    FaultLog,
     RandomPolicy,
     RulePolicy,
+    TrainingRun,
     build_eval_policy,
     evaluate_policy,
     make_env,
@@ -108,18 +111,44 @@ def read_column(path, column):
     return [line.split(",")[idx] for line in lines[1:]]
 
 
+def _train_seed(config, run_seed, seed_dir):
+    """The body of run_train's loop for one seed, in a worker; returns its wall seconds.
+
+    The run keeps the config's whole seed list: evaluation episodes cycle through it.
+    """
+    start = time.monotonic()
+    seed_dir.mkdir(parents=True)
+    run = TrainingRun(config, run_seed, seed_dir)
+    while run.driver.global_step < config.total_env_steps:
+        run.advance()
+    run.finish()
+    return time.monotonic() - start
+
+
 @pytest.fixture(scope="module")
 def merge_runs(tmp_path_factory):
+    """Nine single-seed runs, longest first, on up to two spawned workers.
+
+    An agent's ``seconds`` is the sum of its seeds' run times, as if run in turn.
+    """
     root = tmp_path_factory.mktemp("acceptance_runs")
+    configs = {
+        name: parse_config(text)
+        for name, text in (("dqn", DQN_MERGE), ("ppo", PPO_MERGE), ("random", RANDOM_MERGE))
+    }
+    workers = min(2, len(os.sched_getaffinity(0)))
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn")) as pool:
+        jobs = {
+            (name, seed): pool.submit(_train_seed, config, seed, root / name / f"seed_{seed}")
+            for name, config in configs.items()
+            for seed in config.seeds
+        }
     runs = {}
-    for name, text in (("dqn", DQN_MERGE), ("ppo", PPO_MERGE), ("random", RANDOM_MERGE)):
-        config = parse_config(text)
-        start = time.monotonic()
-        dirs = run_train(config, root / name)
+    for name, config in configs.items():
         runs[name] = {
             "config": config,
-            "dirs": dirs,
-            "seconds": time.monotonic() - start,
+            "dirs": {seed: root / name / f"seed_{seed}" for seed in config.seeds},
+            "seconds": sum(jobs[name, seed].result() for seed in config.seeds),
         }
     return runs
 
@@ -335,7 +364,7 @@ FAULT_COMPARE_STEPS = 10_000
 def _policy_fault_count(config, policy, run_seed, steps):
     """Fault count of a fixed policy over the training-episode seed schedule."""
     env = make_env(config)
-    log = FaultLog()
+    faults = 0
     episode = 0
     obs = env.reset(train_episode_seed(run_seed, episode))
     policy.reset(0)
@@ -343,15 +372,14 @@ def _policy_fault_count(config, policy, run_seed, steps):
     while step < steps:
         out = env.step(policy.act(obs))
         step += 1
-        log.record_step(step, out.info["crashed"] or out.info["off_road"])
+        faults += out.info["crashed"] or out.info["off_road"]
         if out.terminated or out.truncated:
-            log.episode_reset()
             episode += 1
             obs = env.reset(train_episode_seed(run_seed, episode))
             policy.reset(0)
         else:
             obs = out.observation
-    return log.count
+    return faults
 
 
 @pytest.mark.slow

@@ -108,6 +108,18 @@ class TestParsing:
         path.write_text(MINIMAL)
         assert load_config(path).agent == "dqn"
 
+    def test_load_config_drops_a_byte_order_mark(self, tmp_path):
+        plain, marked = tmp_path / "plain.ini", tmp_path / "bom.ini"
+        plain.write_bytes(MINIMAL.encode("utf-8"))
+        marked.write_bytes(b"\xef\xbb\xbf" + MINIMAL.encode("utf-8"))
+        assert load_config(marked) == load_config(plain)
+
+    def test_bad_byte_after_a_byte_order_mark_is_placed_in_the_file(self, tmp_path):
+        path = tmp_path / "bom.ini"
+        path.write_bytes(b"\xef\xbb\xbfab\xff")
+        with pytest.raises(ConfigError, match="not valid UTF-8 at byte 5:"):
+            load_config(path)
+
 
 class TestLinePreciseErrors:
     def test_unknown_section_line(self):

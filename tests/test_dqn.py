@@ -248,9 +248,9 @@ class TestLearner:
 
     def feed(self, learner, rng, n):
         for _ in range(n):
-            s = rng.normal(size=learner.obs_dim)
+            s = rng.normal(size=learner.spec.input_dim)
             learner.observe(
-                Transition(s, int(rng.integers(learner.n_actions)), float(rng.normal()), s, False)
+                Transition(s, int(rng.integers(learner.spec.output_dim)), float(rng.normal()), s, False)
             )
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")

@@ -342,17 +342,17 @@ class TestStep:
         env = empty_env()
         for _ in range(5):
             env.step(EgoAction.FASTER)
-        assert env.ego_target_speed == 30.0
+        assert env.ego.target_speed == 30.0
         env2 = empty_env()
         for _ in range(8):
             env2.step(EgoAction.SLOWER)
-        assert env2.ego_target_speed == 10.0
+        assert env2.ego.target_speed == 10.0
 
     def test_ego_vehicle_holds_the_commanded_target_speed(self):
         env = empty_env()
         env.step(EgoAction.FASTER)
         env.step(EgoAction.FASTER)
-        assert env.ego.target_speed == env.ego_target_speed == 30.0
+        assert env.ego.target_speed == 30.0
 
     def test_lane_change_slew_rate(self):
         env = empty_env(lane=0)

@@ -23,7 +23,6 @@ from highwaylab.harness import (
     FAULTS_CSV_COLUMNS,
     TRAIN_CSV_COLUMNS,
     TRAJECTORY_CSV_COLUMNS,
-    FaultLog,
     RulePolicy,
     TrainingRun,
     build_eval_policy,
@@ -120,28 +119,6 @@ class TestFormatting:
         assert eval_episode_seed(seeds, 1) == 8
         assert eval_episode_seed(seeds, 2) == 7 + 1_000_003
         assert eval_episode_seed(seeds, 3) == 8 + 1_000_003
-
-
-class TestFaultLog:
-    def test_monotone_and_duration_only_while_open(self):
-        log = FaultLog()
-        log.record_step(1, False)
-        log.record_step(2, True)
-        log.record_step(3, True)
-        log.episode_reset()
-        log.record_step(4, False)
-        log.record_step(5, True)
-        assert log.rows == [
-            (1, 0, 0.0),
-            (2, 1, 1.0),
-            (3, 1, 2.0),
-            (4, 1, 2.0),
-            (5, 2, 3.0),
-        ]
-        counts = [row[1] for row in log.rows]
-        durations = [row[2] for row in log.rows]
-        assert counts == sorted(counts)
-        assert durations == sorted(durations)
 
 
 class TestRunTrain:

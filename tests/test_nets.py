@@ -2,6 +2,7 @@
 
 import math
 import os
+import struct
 import tracemalloc
 import zlib
 
@@ -507,6 +508,29 @@ class TestStreamedArchive:
         peak = traced_peak(lambda: learner.save(path))
         assert path.stat().st_size > 3 * self.MB
         assert peak < 1.2 * path.stat().st_size
+
+    def test_learner_load_peaks_near_its_sections(self, tmp_path):
+        # The archive's sections, the learner built from the config, and one
+        # array per stored float vector, not a second copy of each.
+        cfg = PpoConfig(rollout_length=4, minibatch_size=4, hidden_sizes=(256, 256))
+        path = tmp_path / "ppo.bin"
+        PpoLearner(25, 5, cfg, seed=0).save(path)
+        peak = traced_peak(lambda: PpoLearner.load(path, cfg))
+        assert peak < 2.5 * path.stat().st_size
+
+    def test_huge_parameter_count_is_truncated_before_allocation(self):
+        spec = NetworkSpec((4, 3))
+        data = bytearray(network_to_bytes(spec, init_params(spec, 0)))
+        at = struct.calcsize("<4sIIIII")  # the u64 parameter count
+        data[at : at + 8] = (2**40).to_bytes(8, "little")
+        data[-4:] = zlib.crc32(bytes(data[:-4])).to_bytes(4, "little")
+        data = bytes(data)
+
+        def load():
+            with pytest.raises(CheckpointTruncatedError, match=f"needed {32 + 2**43}$"):
+                network_from_bytes(data)
+
+        assert traced_peak(load) < self.MB
 
 
 class TestDeterminism:

@@ -357,10 +357,10 @@ def small_ppo_config(**overrides):
 
 class TestUpdate:
     def synthetic_batch(self, learner, rng, n=64, advantage=1.0):
-        obs = rng.normal(size=(n, learner.obs_dim))
+        obs = rng.normal(size=(n, learner.policy_spec.input_dim))
         logits = forward(learner.policy_spec, learner.policy_params, obs)
         logp = log_softmax(logits)
-        actions = np.array([rng.integers(learner.n_actions) for _ in range(n)])
+        actions = np.array([rng.integers(learner.policy_spec.output_dim) for _ in range(n)])
         batch = RolloutBatch(
             obs=obs,
             actions=actions,
