@@ -121,7 +121,6 @@ _HELP: dict[str, dict[str, str]] = {
     "env": {
         "lane_count": "number of lanes, including the merge ramp",
         "lane_width": "lane width in meters",
-        "road_length": "nominal road length in meters",
         "merge_ramp_end_x": "where the ramp lane ends (merge only)",
         "n_traffic": "number of traffic vehicles",
         "horizon_steps": "decision steps before truncation",

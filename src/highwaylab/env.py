@@ -18,8 +18,9 @@ Traffic vehicles follow the Gazis-Herman-Rothery stimulus-response
 car-following law toward their nearest same-lane leader and never change
 lanes. In the merge scenario the highest-index lane is an on-ramp that ends
 at ``merge_ramp_end_x``; a vehicle still targeting the ramp past that point
-is forced to brake at -A_MAX. The road length itself is nominal: driving
-past it is allowed and nothing ends there.
+is forced to brake at -A_MAX. The road has no length, and the ego, whose lane
+target is clamped to the lanes, never leaves it: an episode terminates only
+when the ego collides.
 
 Determinism contract: for a fixed (seed, road, action sequence) every float
 in every vehicle state is bitwise reproducible across runs and platforms.
@@ -80,18 +81,13 @@ SCENARIO_MERGE = "merge"
 class RoadConfig:
     lane_count: int = bound(3, 2)
     lane_width: float = bound(4.0, 0, strict=True)
-    road_length: float = bound(1000.0, 0, strict=True)
     scenario: str = SCENARIO_HIGHWAY
-    merge_ramp_end_x: float = 300.0
+    merge_ramp_end_x: float = bound(300.0, 0, strict=True)
 
     def __post_init__(self) -> None:
         check_bounds(self)
         if self.scenario not in (SCENARIO_HIGHWAY, SCENARIO_MERGE):
             raise ValueError(f"unknown scenario {self.scenario!r}")
-        if self.scenario == SCENARIO_MERGE and not (
-            0 < self.merge_ramp_end_x < self.road_length
-        ):
-            raise ValueError("merge needs 0 < merge_ramp_end_x < road_length")
 
     @property
     def ramp_lane(self) -> int | None:
@@ -100,11 +96,6 @@ class RoadConfig:
 
     def lane_center(self, lane: int) -> float:
         return lane * self.lane_width
-
-    @property
-    def y_bounds(self) -> tuple[float, float]:
-        half = 0.5 * self.lane_width
-        return -half, self.lane_center(self.lane_count - 1) + half
 
 
 @dataclass(frozen=True)
@@ -409,7 +400,6 @@ class HighwayEnv:
         self._ego: VehicleState | None = None
         self._traffic: list[VehicleState] = []
         self._steps = 0
-        self._off_road = False
         self._active = False
 
     # -- state access -------------------------------------------------------
@@ -478,13 +468,12 @@ class HighwayEnv:
         )
 
         spawn_lanes = [l for l in range(self.road.lane_count) if l != ramp]
-        x_high = min(TRAFFIC_SPAWN_X_HIGH, 0.5 * self.road.road_length)
         half_lane = 0.5 * self.road.lane_width
         self._traffic = []
         for _ in range(self.n_traffic):
             for _attempt in range(1000):
                 lane = spawn_lanes[int(rng.integers(len(spawn_lanes)))]
-                x = float(rng.uniform(TRAFFIC_SPAWN_X_LOW, x_high))
+                x = float(rng.uniform(TRAFFIC_SPAWN_X_LOW, TRAFFIC_SPAWN_X_HIGH))
                 y = self.road.lane_center(lane)
                 if self._spawn_fits(x, y, half_lane):
                     break
@@ -493,7 +482,7 @@ class HighwayEnv:
                     f"could not place n_traffic = {self.n_traffic} vehicles without "
                     f"overlap: traffic spawns in {len(spawn_lanes)} of "
                     f"{self.road.lane_count} lanes, x in "
-                    f"[{TRAFFIC_SPAWN_X_LOW:g}, {x_high:g}] m, centres at least "
+                    f"[{TRAFFIC_SPAWN_X_LOW:g}, {TRAFFIC_SPAWN_X_HIGH:g}] m, centres at least "
                     f"{_MIN_SPAWN_CENTRE_DIST:g} m apart in a lane"
                 )
             v = float(rng.uniform(TRAFFIC_SPEED_LOW, TRAFFIC_SPEED_HIGH))
@@ -502,7 +491,6 @@ class HighwayEnv:
             )
 
         self._steps = 0
-        self._off_road = False
         self._active = True
         return encode_observation(self._ego, self._traffic, self.road.lane_width)
 
@@ -562,7 +550,7 @@ class HighwayEnv:
         abs_accel_sum = self._run_period()
 
         self._steps += 1
-        terminated = ego.crashed or self._off_road
+        terminated = ego.crashed
         truncated = (not terminated) and self._steps >= self.horizon
         if terminated or truncated:
             self._active = False
@@ -581,7 +569,6 @@ class HighwayEnv:
             "ego_speed": ego.v,
             "ego_lane": self.ego_lane(),
             "crashed": ego.crashed,
-            "off_road": self._off_road,
             "sim_time": self.sim_time,
         }
         return StepOutcome(
@@ -627,12 +614,10 @@ class HighwayEnv:
         ramp = road.ramp_lane
         ramp_end = road.merge_ramp_end_x
         on_ramp = [False] * n if ramp is None else [v.lane_target == ramp for v in vehicles]
-        low, high = road.y_bounds
         c, m, l = self.ghr.c, self.ghr.m, self.ghr.l
 
         brake = -A_MAX
         length = VEHICLE_LENGTH
-        off_road = self._off_road
         abs_accel_sum = 0.0
         order = _x_order(xs)
         step = 0
@@ -689,8 +674,6 @@ class HighwayEnv:
                                 crashed[i] = True
                                 vs[i] = 0.0
                                 accs[i] = 0.0
-                if not off_road and not (low <= ys[0] <= high):
-                    off_road = True
                 abs_accel_sum += abs(accs[0])
                 if not proved or step == SUBSTEPS:
                     break
@@ -701,5 +684,4 @@ class HighwayEnv:
             vehicle.v = v
             vehicle.a = a
             vehicle.crashed = stopped
-        self._off_road = off_road
         return abs_accel_sum

@@ -23,7 +23,6 @@ class EpisodeStats:
     speed_sum: float = 0.0
     lane_changes: int = 0
     collided: bool = False
-    off_road: bool = False
 
     def add(self, outcome: StepOutcome) -> None:
         info = outcome.info
@@ -34,7 +33,6 @@ class EpisodeStats:
             self.lane_changes += 1
             self.lane = info["ego_lane"]
         self.collided = self.collided or info["crashed"]
-        self.off_road = self.off_road or info["off_road"]
 
     @property
     def mean_speed(self) -> float:

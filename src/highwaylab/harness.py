@@ -36,6 +36,7 @@ from .nets import NetworkSpec, ParameterSet, acting_network, forward
 from .ppo import PpoLearner, RolloutCollector
 from .rules import RuleAgent
 
+# off_road is always 0: the ego cannot leave its clamped lanes. Kept for the files' layout.
 TRAIN_CSV_COLUMNS = (
     "episode",
     "global_step",
@@ -147,9 +148,9 @@ def _sample_std(values) -> float:
 class TrainRecorder:
     """Per-episode rows, the 100-episode moving window and the per-step fault rows.
 
-    A fault is a step on which the ego is crashed or off the road. Either
-    ends its episode, so every fault lasts one decision period and the
-    cumulative fault seconds are ``faults * DECISION_PERIOD``.
+    A fault is a step on which the ego is crashed. A crash ends its
+    episode, so every fault lasts one decision period and the cumulative
+    fault seconds are ``faults * DECISION_PERIOD``.
     """
 
     def __init__(self, window: int = 100):
@@ -160,7 +161,7 @@ class TrainRecorder:
 
     def on_step(self, stats: EpisodeStats, outcome: StepOutcome, global_step: int) -> None:
         info = outcome.info
-        self.faults += info["crashed"] or info["off_road"]
+        self.faults += info["crashed"]
         self.fault_rows.append((global_step, self.faults, self.faults * DECISION_PERIOD))
         if not (outcome.terminated or outcome.truncated):
             return
@@ -174,7 +175,7 @@ class TrainRecorder:
                 ret,
                 stats.length,
                 stats.collided,
-                stats.off_road,
+                0,
                 float(np.mean(window)),
                 _sample_std(window),
                 self.faults,
@@ -403,19 +404,22 @@ class TrainingRun:
             self.learner.save(self.out_dir / "checkpoint_final.bin")
 
 
+def train_seed(config: ExperimentConfig, run_seed: int, seed_dir: Path) -> None:
+    """run_train's loop body: train (or log) one of the config's seeds into seed_dir."""
+    seed_dir.mkdir(parents=True, exist_ok=True)
+    print(f"[train] agent={config.agent} scenario={config.scenario} seed={run_seed}")
+    run = TrainingRun(config, run_seed, seed_dir)
+    while run.driver.global_step < config.total_env_steps:
+        run.advance()
+    run.finish()
+
+
 def run_train(config: ExperimentConfig, out_dir) -> dict[int, Path]:
     """Train (or log) the configured agent once per seed; returns run dirs."""
     out_dir = Path(out_dir)
-    run_dirs: dict[int, Path] = {}
-    for run_seed in config.seeds:
-        seed_dir = out_dir / f"seed_{run_seed}"
-        seed_dir.mkdir(parents=True, exist_ok=True)
-        print(f"[train] agent={config.agent} scenario={config.scenario} seed={run_seed}")
-        run = TrainingRun(config, run_seed, seed_dir)
-        while run.driver.global_step < config.total_env_steps:
-            run.advance()
-        run.finish()
-        run_dirs[run_seed] = seed_dir
+    run_dirs = {run_seed: out_dir / f"seed_{run_seed}" for run_seed in config.seeds}
+    for run_seed, seed_dir in run_dirs.items():
+        train_seed(config, run_seed, seed_dir)
     return run_dirs
 
 
@@ -439,7 +443,7 @@ def run_eval(config: ExperimentConfig, checkpoint, out_dir) -> dict:
             m.total,
             m.length,
             m.collided,
-            m.off_road,
+            0,
             m.mean_speed,
             m.lane_changes,
         )

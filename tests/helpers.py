@@ -208,9 +208,10 @@ class ReferenceHighwayEnv(HighwayEnv):
                 vehicle.v = 0.0
                 vehicle.a = 0.0
 
-        low, high = self.road.y_bounds
-        if not self._off_road and not (low <= ego.y <= high):
-            self._off_road = True
+        # The ego's lane target is clamped to the lanes and its y only slews
+        # toward that lane's centre, so it never leaves the road.
+        half = 0.5 * self.road.lane_width
+        assert -half <= ego.y <= self.road.lane_center(self.road.lane_count - 1) + half
 
 
 # ---------------------------------------------------------------------------

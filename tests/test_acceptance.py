@@ -22,15 +22,17 @@ from helpers import ChainMdp, gae_double_sum
 from highwaylab.config import parse_config
 from highwaylab.dqn import DqnConfig, DqnLearner, Transition
 from highwaylab.env import HighwayEnv, RoadConfig
+from highwaylab.episodes import EpisodeDriver
 from highwaylab.harness import (
     RandomPolicy,
     RulePolicy,
-    TrainingRun,
+    TrainRecorder,
     build_eval_policy,
     evaluate_policy,
     make_env,
     run_train,
     train_episode_seed,
+    train_seed,
 )
 from highwaylab.nets import (
     NetworkSpec,
@@ -112,16 +114,9 @@ def read_column(path, column):
 
 
 def _train_seed(config, run_seed, seed_dir):
-    """The body of run_train's loop for one seed, in a worker; returns its wall seconds.
-
-    The run keeps the config's whole seed list: evaluation episodes cycle through it.
-    """
+    """`train_seed`, run_train's loop body, in a worker; returns its wall seconds."""
     start = time.monotonic()
-    seed_dir.mkdir(parents=True)
-    run = TrainingRun(config, run_seed, seed_dir)
-    while run.driver.global_step < config.total_env_steps:
-        run.advance()
-    run.finish()
+    train_seed(config, run_seed, seed_dir)
     return time.monotonic() - start
 
 
@@ -362,24 +357,22 @@ FAULT_COMPARE_STEPS = 10_000
 
 
 def _policy_fault_count(config, policy, run_seed, steps):
-    """Fault count of a fixed policy over the training-episode seed schedule."""
-    env = make_env(config)
-    faults = 0
-    episode = 0
-    obs = env.reset(train_episode_seed(run_seed, episode))
-    policy.reset(0)
-    step = 0
-    while step < steps:
-        out = env.step(policy.act(obs))
-        step += 1
-        faults += out.info["crashed"] or out.info["off_road"]
-        if out.terminated or out.truncated:
-            episode += 1
-            obs = env.reset(train_episode_seed(run_seed, episode))
-            policy.reset(0)
-        else:
-            obs = out.observation
-    return faults
+    """Fault count of a fixed policy over the training-episode seed schedule,
+    counted by the recorder that writes faults.csv."""
+    recorder = TrainRecorder()
+    driver = EpisodeDriver(
+        make_env(config),
+        policy,
+        functools.partial(train_episode_seed, run_seed),
+        policy_seed_fn=lambda _: 0,
+        on_step=lambda obs, action, outcome: recorder.on_step(
+            driver.stats, outcome, driver.global_step
+        ),
+    )
+    driver.reset()
+    while driver.global_step < steps:
+        driver.step()
+    return recorder.faults
 
 
 @pytest.mark.slow

@@ -154,7 +154,7 @@ class TestLinePreciseErrors:
     def test_cross_field_invariant_blamed(self):
         text = (
             "[experiment]\nagent = dqn\nscenario = merge\n\n"
-            "[env]\nmerge_ramp_end_x = 5000\n"
+            "[reward]\nv_min = 40\n"
         )
         with pytest.raises(ConfigError, match=r"cfg:6"):
             parse_config(text, origin="cfg")
@@ -290,8 +290,8 @@ def test_one_mutation_messages_are_pinned():
                         outcomes.append("ok")
                     except ConfigError as exc:
                         outcomes.append(str(exc))
-    assert len(outcomes) == 10_388
-    digest = "d6240c79f93ab20f2b09b4e77d06f2b8fe2580e479b00de78870be6ffa8babdf"
+    assert len(outcomes) == 10_176
+    digest = "38eeede7b59af0d3d3dfac514f3bb127598cc90b9f57c4cd35d2650634c2f583"
     assert sha256(json.dumps(outcomes)) == digest
 
 
@@ -374,16 +374,16 @@ class TestOneSourceOfTruth:
 
     def test_describe_keys_is_pinned(self):
         # `highwaylab --help` prints this text: key order, types, defaults, help.
-        digest = "94a5230477bf5e7e95190bc17cc3d6c5d1580dacb6f31ae840b09e5f618de937"
+        digest = "907835396d8eab8d7f0f0bd235ab3ee98078db1aa9b1edbefd5cca83535a9649"
         assert sha256(describe_keys()) == digest
 
     @pytest.mark.parametrize(
         "name, digest",
         [
-            ("highway_rules.ini", "0ee00500065871ca99e9358af516b355856ba0b140cce1784ae9347c5761513f"),
-            ("merge_compare.ini", "23093d908155cd1d33127041db9fbe1e7595fd11902b1b1c8e8b1fedecb91cb9"),
-            ("merge_dqn.ini", "f65deeb26f760d3775a43ba0aee4c6598568b1b09383694081448152b1f5ca28"),
-            ("merge_ppo.ini", "7114dbb5b51c8be91d9ec5e0a68bba7abc00de427743e4eb74b887440670de68"),
+            ("highway_rules.ini", "a893e92884c225450b52f3f9e70f6aa3f69dbcefb014e2cdd40d1391f96edfcd"),
+            ("merge_compare.ini", "4799725b01d50dc504cbd2d9775758b59375d7735630e8a1829c69766e40a0d1"),
+            ("merge_dqn.ini", "61e668edf5243c622a5a275d261b6a81e3e442eccf0e50b6fc42aa2a54923d20"),
+            ("merge_ppo.ini", "fe46b080ea817f9977869e583b786b98b8a7e4ac863039e691854c31f209cf8d"),
         ],
     )
     def test_shipped_config_parses_to_pinned_values(self, name, digest):
@@ -431,7 +431,6 @@ MULTI_FIELD_CHECKS = {
     (RewardWeights, "efficiency"),
     (RewardParams, "v_min"),
     (RewardParams, "v_max"),
-    (RoadConfig, "merge_ramp_end_x"),
 }
 
 BOUNDED = [

@@ -294,7 +294,7 @@ class TestReset:
         with pytest.raises(ValueError):
             RoadConfig(lane_count=1)
         with pytest.raises(ValueError):
-            RoadConfig(scenario="merge", merge_ramp_end_x=2000.0)
+            RoadConfig(scenario="merge", merge_ramp_end_x=0.0)
         with pytest.raises(ValueError):
             RoadConfig(scenario="downtown")
 
@@ -454,17 +454,30 @@ class TestInvariants:
         assert run() == run()
 
     def test_speed_and_lateral_bounds(self):
-        env = HighwayEnv(road=MERGE)
-        rng = np.random.default_rng(21)
-        low, high = env.road.y_bounds
-        for episode in range(5):
-            env.reset(episode)
-            while env.episode_active:
-                env.step(int(rng.integers(5)))
-                for v in env.vehicles:
-                    if not v.crashed:
-                        assert 0.0 <= v.v <= 40.0
-                assert low <= env.ego.y <= high
+        # The ego's y stays between the outer lane centres: no episode can end off the road.
+        dense = RoadConfig(lane_count=4)  # the rules_dense benchmark road
+        for kwargs, driver in (
+            (dict(road=MERGE), "random"),
+            (dict(road=dense, n_traffic=20), "random"),
+            (dict(road=dense, n_traffic=20), "rules"),
+        ):
+            env = HighwayEnv(**kwargs)
+            agent = RuleAgent(lane_count=env.road.lane_count, lane_width=env.road.lane_width)
+            rng = np.random.default_rng(21)
+            high = (env.road.lane_count - 1) * env.road.lane_width
+            for episode in range(5):
+                observation = env.reset(episode)
+                agent.reset()
+                while env.episode_active:
+                    if driver == "rules":
+                        action = int(agent.act(observation))
+                    else:
+                        action = int(rng.integers(5))
+                    observation = env.step(action).observation
+                    for v in env.vehicles:
+                        if not v.crashed:
+                            assert 0.0 <= v.v <= 40.0
+                    assert 0.0 <= env.ego.y <= high
 
     def test_terminated_and_truncated_exclusive(self):
         env = HighwayEnv(road=MERGE)

@@ -184,7 +184,7 @@ class TestRunTrain:
         assert durations == sorted(durations)
 
     def test_fault_duration_is_the_fault_count_in_decision_periods(self, tmp_path):
-        # A crash or a road departure ends its episode, so each fault lasts
+        # A crash ends its episode, so each fault lasts
         # exactly one decision period, and DECISION_PERIOD is exactly 1.0 s.
         assert DECISION_PERIOD == 1.0
         out = run_train(parse_config(SMALL_RANDOM), tmp_path)[5]
@@ -308,7 +308,7 @@ class TestOneEpisodeLoop:
         cfg = parse_config(SMALL_RANDOM.replace("agent = random", "agent = rules"))
         _, rows = read_csv(run_train(cfg, tmp_path)[5] / "metrics.csv")
         m = run_episode(make_env(cfg), RulePolicy(cfg), train_episode_seed(5, 0))
-        assert rows[0][2:6] == [fmt9(m.total), str(m.length), str(int(m.collided)), str(int(m.off_road))]
+        assert rows[0][2:6] == [fmt9(m.total), str(m.length), str(int(m.collided)), "0"]
 
 
 class TestRunEval:
@@ -492,6 +492,8 @@ class TestCli:
             ("ghr_c = nan", "bad value for 'ghr_c'"),
             ("ghr_m = -1", "ghr_m must be >= 0"),
             ("ghr_tau = 0.3", "unknown key 'ghr_tau'"),
+            ("road_length = 1000", "unknown key 'road_length'"),
+            ("merge_ramp_end_x = 0", "merge_ramp_end_x must be > 0"),
         ],
     )
     def test_bad_ghr_value_exit_code(self, tmp_path, capsys, line, message):
