@@ -467,12 +467,12 @@ class HighwayEnv:
             target_speed=EGO_SPAWN_SPEED,
         )
 
-        spawn_lanes = [l for l in range(self.road.lane_count) if l != ramp]
+        through_lanes = self.road.lane_count - (ramp is not None)  # the ramp is the last lane
         half_lane = 0.5 * self.road.lane_width
         self._traffic = []
         for _ in range(self.n_traffic):
             for _attempt in range(1000):
-                lane = spawn_lanes[int(rng.integers(len(spawn_lanes)))]
+                lane = int(rng.integers(through_lanes))
                 x = float(rng.uniform(TRAFFIC_SPAWN_X_LOW, TRAFFIC_SPAWN_X_HIGH))
                 y = self.road.lane_center(lane)
                 if self._spawn_fits(x, y, half_lane):
@@ -480,7 +480,7 @@ class HighwayEnv:
             else:
                 raise ConfigError(
                     f"could not place n_traffic = {self.n_traffic} vehicles without "
-                    f"overlap: traffic spawns in {len(spawn_lanes)} of "
+                    f"overlap: traffic spawns in {through_lanes} of "
                     f"{self.road.lane_count} lanes, x in "
                     f"[{TRAFFIC_SPAWN_X_LOW:g}, {TRAFFIC_SPAWN_X_HIGH:g}] m, centres at least "
                     f"{_MIN_SPAWN_CENTRE_DIST:g} m apart in a lane"

@@ -354,17 +354,7 @@ class TrainingRun:
     def advance(self) -> None:
         try:
             if self.config.agent == "ppo":
-                batch = self.driver.collect(
-                    self.learner.policy_spec,
-                    self.learner.policy_params,
-                    self.learner.value_spec,
-                    self.learner.value_params,
-                    self.config.ppo.rollout_length,
-                    self.learner.action_rng,
-                )
-                self.learner.prepare(batch)
-                self.learner.update(batch)
-                del batch  # not held through the evaluation below
+                self.learner.update(self.driver.collect(self.learner, self.config.ppo.rollout_length))
             else:
                 self.driver.step()
         except TrainingDivergenceError as exc:

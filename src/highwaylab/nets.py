@@ -39,6 +39,8 @@ PARAMS_FORMAT_VERSION = 1
 
 # Bounds a learner config's hidden_sizes: 80 MB per float64 copy of the parameters
 MAX_NETWORK_PARAMETERS = 10_000_000
+# Layers of a network, input and output included, that a checkpoint may hold
+MAX_LAYERS = 1024
 
 _MAGIC_NETWORK = b"HRLL"
 _MAGIC_ARCHIVE = b"HRLC"
@@ -77,11 +79,13 @@ class NetworkSpec:
 
 
 def check_hidden_sizes(hidden_sizes, n_in: int, n_out: int) -> tuple[int, ...]:
-    """``hidden_sizes`` as ints, each at least 1, for an ``n_in``-to-``n_out``
-    network of at most MAX_NETWORK_PARAMETERS parameters; ValueError if not."""
+    """``hidden_sizes`` as ints, each at least 1, for an ``n_in``-to-``n_out`` network
+    of at most MAX_LAYERS layers and MAX_NETWORK_PARAMETERS parameters; ValueError if not."""
     sizes = tuple(int(h) for h in hidden_sizes)
     if any(h < 1 for h in sizes):
         raise ValueError("hidden_sizes must be >= 1")
+    if len(sizes) + 2 > MAX_LAYERS:
+        raise ValueError(f"hidden_sizes must have at most {MAX_LAYERS - 2} entries")
     if NetworkSpec((n_in, *sizes, n_out)).n_params > MAX_NETWORK_PARAMETERS:
         raise ValueError(f"hidden_sizes must give at most {MAX_NETWORK_PARAMETERS} parameters")
     return sizes
@@ -468,7 +472,7 @@ def network_from_bytes(data: bytes) -> tuple[NetworkSpec, ParameterSet]:
             f"network checkpoint: version {version}, expected {PARAMS_FORMAT_VERSION}"
         )
     (layer_count,) = r.unpack("<I")
-    if layer_count < 2 or layer_count > 1024:
+    if layer_count < 2 or layer_count > MAX_LAYERS:
         raise CheckpointFormatError(f"network checkpoint: bad layer count {layer_count}")
     sizes = r.unpack(f"<{layer_count}I")
     (act_code,) = r.unpack("<I")

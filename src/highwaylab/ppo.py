@@ -12,7 +12,8 @@ computed backward per episode segment. Value targets are ``A_t + V(s_t)``
 using the raw advantages; per-rollout normalization applies to the
 advantages only. The policy objective is the pessimistic clipped surrogate
 plus an entropy bonus, maximized with Adam; the value head minimizes mean
-squared error against the frozen targets.
+squared error against the frozen targets. One training step is
+``learner.update(collector.collect(learner, length))``, and update runs GAE.
 """
 
 from __future__ import annotations
@@ -90,25 +91,14 @@ class RolloutBatch:
     log_probs: np.ndarray  # (T,)
     terminated: np.ndarray  # (T,) bool
     episode_end: np.ndarray  # (T,) bool
-    advantages: np.ndarray | None = None
-    value_targets: np.ndarray | None = None
 
     def __len__(self) -> int:
         return int(self.obs.shape[0])
 
 
-def compute_gae(
-    batch: RolloutBatch,
-    gamma: float,
-    lam: float,
-    normalize: bool = True,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Backward advantage recursion per episode segment.
-
-    Returns (advantages, value_targets). Targets always use the raw
-    advantages; when ``normalize`` is set the returned advantages are shifted
-    and scaled to mean 0 and standard deviation 1 (plus 1e-8) per rollout.
-    """
+def compute_gae(batch: RolloutBatch, gamma: float, lam: float) -> tuple[np.ndarray, np.ndarray]:
+    """Backward advantage recursion per episode segment: the raw advantages,
+    and the value targets, which are those advantages plus ``batch.values``."""
     n = len(batch)
     advantages = np.zeros(n, dtype=np.float64)
     running = 0.0
@@ -121,9 +111,6 @@ def compute_gae(
             running = delta + gamma * lam * running
         advantages[t] = running
     value_targets = advantages + batch.values
-    if normalize:
-        std = advantages.std()
-        advantages = (advantages - advantages.mean()) / (std + 1e-8)
     return advantages, value_targets
 
 
@@ -208,15 +195,6 @@ def value_loss(
     return loss, backward(value_spec, value_params, obs, g_out, acts)
 
 
-def _action_distribution(
-    spec: NetworkSpec, params: ParameterSet, obs
-) -> tuple[np.ndarray, np.ndarray]:
-    """(log probabilities, their exp): the one action distribution that rollouts,
-    `PpoLearner.act` and `PpoLearner.policy_probabilities` all read."""
-    logp = log_softmax(forward(spec, params, obs))
-    return logp, np.exp(logp)
-
-
 # The tolerance Generator.choice gives the sum of float64 probabilities.
 _PROBABILITY_SUM_TOLERANCE = float(np.sqrt(np.finfo(np.float64).eps))
 
@@ -245,15 +223,11 @@ class RolloutCollector(EpisodeDriver):
     def __init__(self, env, episode_seed_fn: Callable[[int], int], on_step=None):
         super().__init__(env, None, episode_seed_fn, on_step=on_step)
 
-    def collect(
-        self,
-        policy_spec: NetworkSpec,
-        policy_params: ParameterSet,
-        value_spec: NetworkSpec,
-        value_params: ParameterSet,
-        length: int,
-        rng: np.random.Generator,
-    ) -> RolloutBatch:
+    def collect(self, learner: PpoLearner, length: int) -> RolloutBatch:
+        """``length`` steps under the learner's policy and its ``action_rng``."""
+        policy_spec, policy_params = learner.policy_spec, learner.policy_params
+        value_spec, value_params = learner.value_spec, learner.value_params
+        rng = learner.action_rng
         obs_dim = policy_spec.input_dim
         obs_arr = np.zeros((length, obs_dim), dtype=np.float64)
         actions = np.zeros(length, dtype=np.int64)
@@ -272,8 +246,8 @@ class RolloutCollector(EpisodeDriver):
 
         for t in range(length):
             obs = self.obs
-            logp, probs = _action_distribution(policy_spec, policy_params, obs)
-            action = _sample_action(rng, probs)
+            logp = log_softmax(forward(policy_spec, policy_params, obs))
+            action = _sample_action(rng, np.exp(logp))
             outcome = self.step(action)
 
             obs_arr[t] = obs
@@ -318,24 +292,13 @@ class PpoLearner(CheckpointedLearner):
         self.rollouts_done = 0
         self.env_steps = 0
 
-    def act(self, obs: np.ndarray) -> int:
-        return _sample_action(self.action_rng, self.policy_probabilities(obs))
-
-    def policy_probabilities(self, obs: np.ndarray) -> np.ndarray:
-        return _action_distribution(self.policy_spec, self.policy_params, obs)[1]
-
-    def prepare(self, batch: RolloutBatch) -> RolloutBatch:
-        """Fill advantages and value targets in place and return the batch."""
-        adv, targets = compute_gae(batch, self.config.gamma, self.config.gae_lambda)
-        batch.advantages = adv
-        batch.value_targets = targets
-        return batch
-
     def update(self, batch: RolloutBatch) -> dict:
-        """Several epochs of seeded-shuffle minibatch ascent/descent."""
-        if batch.advantages is None or batch.value_targets is None:
-            raise ValueError("call prepare() (or compute_gae) before update()")
+        """GAE, then several epochs of seeded-shuffle minibatch ascent/descent. The
+        value targets use the raw advantages; the policy sees them normalized."""
         cfg = self.config
+        advantages, value_targets = compute_gae(batch, cfg.gamma, cfg.gae_lambda)
+        std = advantages.std()
+        advantages = (advantages - advantages.mean()) / (std + 1e-8)
         n = len(batch)
         stats_acc = {"policy_objective": 0.0, "value_loss": 0.0, "clip_fraction": 0.0, "entropy": 0.0}
         n_minibatches = 0
@@ -350,7 +313,7 @@ class PpoLearner(CheckpointedLearner):
                     obs,
                     batch.actions[idx],
                     batch.log_probs[idx],
-                    batch.advantages[idx],
+                    advantages[idx],
                     cfg.clip_epsilon,
                     cfg.entropy_coef,
                 )
@@ -359,7 +322,7 @@ class PpoLearner(CheckpointedLearner):
                     self.policy_adam, self.policy_params, -policy_grad
                 )
                 vloss, value_grad = value_loss(
-                    self.value_spec, self.value_params, obs, batch.value_targets[idx]
+                    self.value_spec, self.value_params, obs, value_targets[idx]
                 )
                 self.value_params, self.value_adam = adam_step(
                     self.value_adam, self.value_params, value_grad

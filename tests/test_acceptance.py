@@ -193,7 +193,7 @@ def test_c2_gae_oracle_equivalence():
             episode_end=episode_end,
         )
         for gamma, lam in ((0.99, 0.95), (1.0, 1.0), (0.9, 0.0)):
-            adv, _ = compute_gae(batch, gamma, lam, normalize=False)
+            adv, _ = compute_gae(batch, gamma, lam)
             oracle = gae_double_sum(
                 batch.rewards,
                 batch.values,

@@ -7,6 +7,7 @@ import random
 from dataclasses import MISSING, asdict, fields, replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from highwaylab.actions import N_ACTIONS
@@ -21,8 +22,8 @@ from highwaylab.config import (
 from highwaylab.dqn import MAX_BUFFER_CAPACITY, DqnConfig
 from highwaylab.env import OBS_DIM, GhrParams, RoadConfig
 from highwaylab.errors import ConfigError
-from highwaylab.nets import MAX_NETWORK_PARAMETERS, NetworkSpec
-from highwaylab.ppo import MAX_ROLLOUT_LENGTH, PpoConfig
+from highwaylab.nets import MAX_LAYERS, MAX_NETWORK_PARAMETERS, NetworkSpec
+from highwaylab.ppo import MAX_ROLLOUT_LENGTH, PpoConfig, PpoLearner
 from highwaylab.reward import RewardParams, RewardWeights
 from highwaylab.rules import RuleParams
 
@@ -332,6 +333,28 @@ class TestSizeBounds:
         key = lines.partition(" ")[0]
         with pytest.raises(ConfigError, match=rf"^cfg:5: {key} must"):
             parse_config(text, origin="cfg")
+
+
+class TestLayerCountBound:
+    """A config's hidden_sizes stay within the layer count a checkpoint may hold."""
+
+    @staticmethod
+    def config_text(hidden_layers):
+        widths = ", ".join(["1"] * hidden_layers)
+        return f"[experiment]\nagent = ppo\n\n[ppo]\nhidden_sizes = {widths}\n"
+
+    def test_deepest_allowed_network_round_trips(self, tmp_path):
+        cfg = parse_config(self.config_text(MAX_LAYERS - 2)).ppo
+        learner = PpoLearner(OBS_DIM, N_ACTIONS, cfg, seed=0)
+        learner.save(tmp_path / "ppo.bin")
+        loaded = PpoLearner.load(tmp_path / "ppo.bin", cfg)
+        assert len(loaded.policy_spec.layer_sizes) == MAX_LAYERS
+        assert np.array_equal(loaded.policy_params.values, learner.policy_params.values)
+        assert np.array_equal(loaded.value_params.values, learner.value_params.values)
+
+    def test_one_layer_more_blames_the_key_line(self):
+        with pytest.raises(ConfigError, match=rf"^cfg:5: hidden_sizes must have at most {MAX_LAYERS - 2} "):
+            parse_config(self.config_text(MAX_LAYERS - 1), origin="cfg")
 
 
 def sha256(text: str) -> str:

@@ -1,5 +1,7 @@
 """Simulator tests: determinism, dynamics oracles, collisions, encoding."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -301,6 +303,20 @@ class TestReset:
     def test_step_before_reset_raises(self):
         with pytest.raises(EnvStateError):
             HighwayEnv().step(EgoAction.IDLE)
+
+    @pytest.mark.parametrize("scenario", ["highway", "merge"])
+    def test_reset_memory_does_not_grow_with_lane_count(self, scenario):
+        env = HighwayEnv(road=RoadConfig(lane_count=10**6, scenario=scenario))
+        env.reset(0)  # warm: first-call caches are not the reset's cost
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            env.reset(1)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
 
 
 def empty_env(lane=0, scenario="highway"):

@@ -1,6 +1,8 @@
 """PPO tests: advantage recursion vs a double-sum oracle, clip identities,
 objective gradients vs finite differences, and rollout reproducibility."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,6 @@ from highwaylab.nets import (
     forward,
     init_params,
     log_softmax,
-    softmax,
 )
 from highwaylab.ppo import (
     PpoConfig,
@@ -52,7 +53,7 @@ class TestComputeGae:
     def test_lambda_zero_collapses_to_td_residual(self):
         rng = np.random.default_rng(0)
         batch = random_segments(rng, 12)
-        adv, _ = compute_gae(batch, gamma=0.9, lam=0.0, normalize=False)
+        adv, _ = compute_gae(batch, gamma=0.9, lam=0.0)
         for t in range(12):
             bootstrap = 0.0 if batch.terminated[t] else batch.next_values[t]
             delta = batch.rewards[t] + 0.9 * bootstrap - batch.values[t]
@@ -69,7 +70,7 @@ class TestComputeGae:
             terminated=np.array([True]),
             episode_end=np.array([True]),
         )
-        adv, targets = compute_gae(batch, 0.99, 0.95, normalize=False)
+        adv, targets = compute_gae(batch, 0.99, 0.95)
         assert adv[0] == pytest.approx(1.5)
         assert targets[0] == pytest.approx(2.0)
 
@@ -78,7 +79,7 @@ class TestComputeGae:
         for _ in range(100):
             batch = random_segments(rng, int(rng.integers(2, 21)))
             for gamma, lam in ((0.99, 0.95), (1.0, 1.0), (0.9, 0.0)):
-                adv, _ = compute_gae(batch, gamma, lam, normalize=False)
+                adv, _ = compute_gae(batch, gamma, lam)
                 oracle = gae_double_sum(
                     batch.rewards,
                     batch.values,
@@ -102,25 +103,10 @@ class TestComputeGae:
         # by a real rollout where next_values[t] is V of the next observation
         batch.next_values[:-1] = batch.values[1:]
         gamma = 0.99
-        adv, _ = compute_gae(batch, gamma, 1.0, normalize=False)
+        adv, _ = compute_gae(batch, gamma, 1.0)
         for t in range(n):
             mc = sum(gamma ** (k - t) * batch.rewards[k] for k in range(t, n))
             assert adv[t] == pytest.approx(mc - batch.values[t], abs=1e-10)
-
-    def test_value_targets_use_raw_advantages(self):
-        rng = np.random.default_rng(3)
-        batch = random_segments(rng, 16)
-        adv_raw, targets_raw = compute_gae(batch, 0.99, 0.95, normalize=False)
-        adv_norm, targets_norm = compute_gae(batch, 0.99, 0.95, normalize=True)
-        np.testing.assert_array_equal(targets_raw, targets_norm)
-        assert not np.allclose(adv_raw, adv_norm)
-
-    def test_normalization_moments(self):
-        rng = np.random.default_rng(4)
-        batch = random_segments(rng, 512)
-        adv, _ = compute_gae(batch, 0.99, 0.95, normalize=True)
-        assert abs(adv.mean()) < 1e-9
-        assert abs(adv.std() - 1.0) < 1e-6
 
 
 class TestClippedSurrogate:
@@ -356,24 +342,26 @@ def small_ppo_config(**overrides):
 
 
 class TestUpdate:
-    def synthetic_batch(self, learner, rng, n=64, advantage=1.0):
+    def synthetic_batch(self, learner, rng, n=64):
+        """Random rewards, values and episode ends, with actions and their log
+        probabilities under the learner's policy."""
         obs = rng.normal(size=(n, learner.policy_spec.input_dim))
         logits = forward(learner.policy_spec, learner.policy_params, obs)
         logp = log_softmax(logits)
         actions = np.array([rng.integers(learner.policy_spec.output_dim) for _ in range(n)])
-        batch = RolloutBatch(
+        terminated = rng.random(n) < 0.15
+        episode_end = terminated.copy()
+        episode_end[-1] = True
+        return RolloutBatch(
             obs=obs,
             actions=actions,
-            rewards=np.zeros(n),
-            values=np.zeros(n),
-            next_values=np.zeros(n),
+            rewards=rng.normal(size=n),
+            values=rng.normal(size=n),
+            next_values=rng.normal(size=n),
             log_probs=logp[np.arange(n), actions],
-            terminated=np.zeros(n, dtype=bool),
-            episode_end=np.zeros(n, dtype=bool),
+            terminated=terminated,
+            episode_end=episode_end,
         )
-        batch.advantages = np.full(n, advantage)
-        batch.value_targets = np.zeros(n)
-        return batch
 
     def test_zero_epochs_changes_nothing(self):
         learner = PpoLearner(4, 3, small_ppo_config(epochs=0), seed=0)
@@ -384,33 +372,67 @@ class TestUpdate:
         assert np.array_equal(learner.policy_params.values, before_p)
         assert np.array_equal(learner.value_params.values, before_v)
 
-    def test_positive_advantages_increase_action_probability(self):
-        learner = PpoLearner(4, 3, small_ppo_config(entropy_coef=0.0), seed=1)
-        rng = np.random.default_rng(2)
-        batch = self.synthetic_batch(learner, rng, advantage=1.0)
-        obs = batch.obs
-        before = learner.policy_probabilities(obs)[np.arange(len(batch)), batch.actions]
+    def test_policy_sees_normalized_advantages_and_value_head_raw_targets(self, monkeypatch):
+        import highwaylab.ppo as ppo
+
+        learner = PpoLearner(4, 3, small_ppo_config(epochs=1), seed=5)
+        batch = self.synthetic_batch(learner, np.random.default_rng(6), n=512)
+        seen = {"obs": [], "advantages": [], "targets": []}
+
+        def record_objective(spec, params, obs, actions, old, advantages, *rest):
+            seen["obs"].append(obs)
+            seen["advantages"].append(advantages)
+            return objective(spec, params, obs, actions, old, advantages, *rest)
+
+        def record_value_loss(spec, params, obs, targets):
+            seen["targets"].append(targets)
+            return loss(spec, params, obs, targets)
+
+        objective, loss = ppo.ppo_objective, ppo.value_loss
+        monkeypatch.setattr(ppo, "ppo_objective", record_objective)
+        monkeypatch.setattr(ppo, "value_loss", record_value_loss)
         learner.update(batch)
-        after = learner.policy_probabilities(obs)[np.arange(len(batch)), batch.actions]
-        assert after.mean() > before.mean()
+
+        # One epoch: every step is seen once, in the shuffled order.
+        row = {x: i for i, x in enumerate(batch.obs[:, 0])}
+        order = np.array([row[x] for x in np.concatenate(seen["obs"])[:, 0]])
+        assert np.array_equal(np.sort(order), np.arange(len(batch)))
+        advantages = np.concatenate(seen["advantages"])
+        assert abs(advantages.mean()) < 1e-9
+        assert abs(advantages.std() - 1.0) < 1e-6
+        raw, _ = compute_gae(batch, learner.config.gamma, learner.config.gae_lambda)
+        assert not np.allclose(raw[order], advantages)
+        targets = np.concatenate(seen["targets"])
+        assert np.array_equal(targets, raw[order] + batch.values[order])
+
+    def test_positive_advantages_increase_action_probability(self):
+        # Every step ends its episode with value 0, so a step's advantage is
+        # its reward: +1 on even steps, -1 on odd ones.
+        learner = PpoLearner(4, 3, small_ppo_config(entropy_coef=0.0), seed=1)
+        batch = self.synthetic_batch(learner, np.random.default_rng(2))
+        batch.rewards[:] = np.where(np.arange(len(batch)) % 2 == 0, 1.0, -1.0)
+        batch.values[:] = 0.0
+        batch.terminated[:] = True
+        batch.episode_end[:] = True
+        rows = np.arange(len(batch))
+
+        def taken_probabilities():
+            logits = forward(learner.policy_spec, learner.policy_params, batch.obs)
+            return np.exp(log_softmax(logits))[rows, batch.actions]
+
+        before = taken_probabilities()
+        learner.update(batch)
+        after = taken_probabilities()
+        assert after[0::2].mean() > before[0::2].mean()
+        assert after[1::2].mean() < before[1::2].mean()
 
     def test_update_does_not_touch_frozen_series(self):
         learner = PpoLearner(4, 3, small_ppo_config(), seed=3)
         batch = self.synthetic_batch(learner, np.random.default_rng(4))
-        old_logp = batch.log_probs.copy()
-        targets = batch.value_targets.copy()
-        advantages = batch.advantages.copy()
+        before = {name: value.copy() for name, value in vars(batch).items()}
         learner.update(batch)
-        np.testing.assert_array_equal(batch.log_probs, old_logp)
-        np.testing.assert_array_equal(batch.value_targets, targets)
-        np.testing.assert_array_equal(batch.advantages, advantages)
-
-    def test_update_requires_prepared_batch(self):
-        learner = PpoLearner(4, 3, small_ppo_config(), seed=0)
-        batch = self.synthetic_batch(learner, np.random.default_rng(0))
-        batch.advantages = None
-        with pytest.raises(ValueError):
-            learner.update(batch)
+        for name, value in before.items():
+            np.testing.assert_array_equal(getattr(batch, name), value)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -422,9 +444,16 @@ class TestUpdate:
 
 
 class ThreeForwardCollector(RolloutCollector):
-    """Reference collector: evaluates V(s_t) and V(s_{t+1}) afresh every step."""
+    """Reference collector: evaluates V(s_t) and V(s_{t+1}) afresh every step,
+    and samples with ``Generator.choice`` from its own copy of an action stream."""
 
-    def collect(self, policy_spec, policy_params, value_spec, value_params, length, rng):
+    def __init__(self, env, episode_seed_fn, action_rng):
+        super().__init__(env, episode_seed_fn)
+        self.action_rng = copy.deepcopy(action_rng)
+
+    def collect(self, learner, length):
+        policy_spec, policy_params = learner.policy_spec, learner.policy_params
+        value_spec, value_params = learner.value_spec, learner.value_params
         fields = {
             "obs": np.zeros((length, policy_spec.input_dim)),
             "actions": np.zeros(length, dtype=np.int64),
@@ -440,7 +469,7 @@ class ThreeForwardCollector(RolloutCollector):
         for t in range(length):
             obs = self.obs
             logp = log_softmax(forward(policy_spec, policy_params, obs))
-            action = int(rng.choice(logp.size, p=np.exp(logp)))
+            action = int(self.action_rng.choice(logp.size, p=np.exp(logp)))
             outcome = self.env.step(action)
             fields["obs"][t] = obs
             fields["actions"][t] = action
@@ -475,20 +504,7 @@ class TestDivergedPolicy:
         learner = diverged_learner()
         collector = RolloutCollector(HighwayEnv(road=RoadConfig(scenario="merge")), lambda i: i)
         with np.errstate(all="ignore"), pytest.raises(TrainingDivergenceError):
-            collector.collect(
-                learner.policy_spec,
-                learner.policy_params,
-                learner.value_spec,
-                learner.value_params,
-                8,
-                np.random.default_rng(0),
-            )
-
-    def test_act_raises_divergence(self):
-        learner = diverged_learner()
-        obs = HighwayEnv(road=RoadConfig(scenario="merge")).reset(4)
-        with np.errstate(all="ignore"), pytest.raises(TrainingDivergenceError):
-            learner.act(obs)
+            collector.collect(learner, 8)
 
 
 class TestSampleAction:
@@ -521,38 +537,12 @@ class TestSampleAction:
         assert _sample_action(ours, probs) == int(reference.choice(3, p=probs))
 
 
-class TestOneActionDistribution:
-    def test_act_and_probabilities_read_the_rollout_distribution(self):
-        # Rollouts sample from exp(log_softmax(logits)); softmax(logits)
-        # differs from it in the last bits for most logit vectors.
-        learner = PpoLearner(25, 5, small_ppo_config(), seed=9)
-        rng = np.random.default_rng(3)
-        softmax_differs = 0
-        for obs in rng.normal(size=(50, 25)):
-            logits = forward(learner.policy_spec, learner.policy_params, obs)
-            probs = np.exp(log_softmax(logits))
-            assert np.array_equal(learner.policy_probabilities(obs), probs)
-            softmax_differs += not np.array_equal(softmax(logits), probs)
-            reference = np.random.default_rng()
-            reference.bit_generator.state = learner.action_rng.bit_generator.state
-            assert learner.act(obs) == int(reference.choice(5, p=probs))
-        assert softmax_differs > 0
-
-
 class TestRolloutCollection:
     def collect_once(self):
         env = HighwayEnv(road=RoadConfig(scenario="merge"), horizon=10)
         learner = PpoLearner(25, 5, small_ppo_config(), seed=9)
         collector = RolloutCollector(env, episode_seed_fn=lambda i: 1000 + i)
-        rng = np.random.default_rng(55)
-        return learner, collector.collect(
-            learner.policy_spec,
-            learner.policy_params,
-            learner.value_spec,
-            learner.value_params,
-            64,
-            rng,
-        )
+        return learner, collector.collect(learner, 64)
 
     def test_exact_length_and_final_cut(self):
         _, batch = self.collect_once()
@@ -587,23 +577,12 @@ class TestRolloutCollection:
         # horizon 10 over 2 x 48 steps: resets inside both rollouts, and the
         # second rollout starts mid-episode after update() changed the nets.
         learner = PpoLearner(25, 5, small_ppo_config(), seed=9)
-        collectors = [
-            cls(HighwayEnv(road=RoadConfig(scenario="merge"), horizon=10), lambda i: 1000 + i)
-            for cls in (RolloutCollector, ThreeForwardCollector)
-        ]
-        rngs = [np.random.default_rng(55), np.random.default_rng(55)]
+        envs = [HighwayEnv(road=RoadConfig(scenario="merge"), horizon=10) for _ in range(2)]
+        collector = RolloutCollector(envs[0], lambda i: 1000 + i)
+        reference = ThreeForwardCollector(envs[1], lambda i: 1000 + i, learner.action_rng)
         for _ in range(2):
-            batch, reference = (
-                c.collect(
-                    learner.policy_spec,
-                    learner.policy_params,
-                    learner.value_spec,
-                    learner.value_params,
-                    48,
-                    rng,
-                )
-                for c, rng in zip(collectors, rngs)
-            )
+            batch = collector.collect(learner, 48)
+            expected = reference.collect(learner, 48)
             assert batch.episode_end[:-1].any()
             for name in (
                 "obs",
@@ -615,5 +594,5 @@ class TestRolloutCollection:
                 "terminated",
                 "episode_end",
             ):
-                assert np.array_equal(getattr(batch, name), getattr(reference, name)), name
-            learner.update(learner.prepare(batch))
+                assert np.array_equal(getattr(batch, name), getattr(expected, name)), name
+            learner.update(batch)
