@@ -108,6 +108,48 @@ class TestComputeGae:
             mc = sum(gamma ** (k - t) * batch.rewards[k] for k in range(t, n))
             assert adv[t] == pytest.approx(mc - batch.values[t], abs=1e-10)
 
+    def test_value_targets_use_raw_advantages(self):
+        rng = np.random.default_rng(3)
+        batch = random_segments(rng, 16)
+        adv, targets = compute_gae(batch, 0.99, 0.95)
+        oracle = gae_double_sum(
+            batch.rewards,
+            batch.values,
+            batch.next_values,
+            batch.terminated,
+            batch.episode_end,
+            0.99,
+            0.95,
+        )
+        np.testing.assert_allclose(adv, oracle, atol=1e-10)
+        np.testing.assert_array_equal(targets, adv + batch.values)
+
+    def test_normalization_moments(self, monkeypatch):
+        # compute_gae returns raw advantages; update normalizes them over the
+        # whole rollout before the policy objective sees them.
+        import highwaylab.ppo as ppo
+
+        rng = np.random.default_rng(4)
+        batch = random_segments(rng, 512)
+        learner = PpoLearner(1, 3, small_ppo_config(epochs=1), seed=4)
+        seen = []
+
+        def record_objective(spec, params, obs, actions, old, advantages, *rest):
+            seen.append(advantages)
+            return objective(spec, params, obs, actions, old, advantages, *rest)
+
+        objective = ppo.ppo_objective
+        monkeypatch.setattr(ppo, "ppo_objective", record_objective)
+        learner.update(batch)
+
+        adv = np.concatenate(seen)
+        assert len(adv) == len(batch)
+        assert abs(adv.mean()) < 1e-9
+        assert abs(adv.std() - 1.0) < 1e-6
+        raw, _ = compute_gae(batch, learner.config.gamma, learner.config.gae_lambda)
+        expected = (raw - raw.mean()) / (raw.std() + 1e-8)
+        np.testing.assert_allclose(np.sort(adv), np.sort(expected), atol=1e-12)
+
 
 class TestClippedSurrogate:
     GRID_RHO = (0.5, 0.79, 0.8, 1.0, 1.2, 1.21, 1.5)
