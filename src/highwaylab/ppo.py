@@ -14,10 +14,14 @@ advantages only. The policy objective is the pessimistic clipped surrogate
 plus an entropy bonus, maximized with Adam; the value head minimizes mean
 squared error against the frozen targets. One training step is
 ``learner.update(collector.collect(learner, length))``, and update runs GAE.
+The value head trains on a second thread beside the policy head; the heads
+share no state, so every bit equals that of one loop over both.
 """
 
 from __future__ import annotations
 
+import contextvars
+import threading
 from dataclasses import dataclass
 from typing import Callable
 
@@ -53,8 +57,8 @@ class PpoConfig:
     rollout_length: int = 2048
     epochs: int = bound(10, 0)
     minibatch_size: int = 256
-    policy_lr: float = 0.0003
-    value_lr: float = 0.001
+    policy_lr: float = bound(0.0003, 0, strict=True)
+    value_lr: float = bound(0.001, 0, strict=True)
     entropy_coef: float = bound(0.01, 0)
     hidden_sizes: tuple[int, ...] = (128, 128)
 
@@ -66,8 +70,6 @@ class PpoConfig:
             raise ValueError("rollout_length must be divisible by minibatch_size")
         if self.rollout_length > MAX_ROLLOUT_LENGTH:
             raise ValueError(f"rollout_length must be <= {MAX_ROLLOUT_LENGTH}")
-        if self.policy_lr <= 0 or self.value_lr <= 0:
-            raise ValueError("learning rates must be > 0")
         hidden = check_hidden_sizes(self.hidden_sizes, OBS_DIM, N_ACTIONS)
         object.__setattr__(self, "hidden_sizes", hidden)
 
@@ -294,23 +296,52 @@ class PpoLearner(CheckpointedLearner):
 
     def update(self, batch: RolloutBatch) -> dict:
         """GAE, then several epochs of seeded-shuffle minibatch ascent/descent. The
-        value targets use the raw advantages; the policy sees them normalized."""
+        value targets use the raw advantages; the policy sees them normalized.
+
+        The heads share no state, so the value head's minibatch loop runs on a
+        second thread beside the policy head's, with every bit as in one loop
+        that steps the policy and then the value head on each minibatch. The
+        error raised is the one that loop would meet first; after a raise, the
+        two heads may have taken different numbers of steps.
+        """
         cfg = self.config
         advantages, value_targets = compute_gae(batch, cfg.gamma, cfg.gae_lambda)
         std = advantages.std()
         advantages = (advantages - advantages.mean()) / (std + 1e-8)
         n = len(batch)
+        orders = [self._shuffle_rng.permutation(n) for _ in range(cfg.epochs)]
+        minibatches = [
+            order[start : start + cfg.minibatch_size]
+            for order in orders
+            for start in range(0, n, cfg.minibatch_size)
+        ]
         stats_acc = {"policy_objective": 0.0, "value_loss": 0.0, "clip_fraction": 0.0, "entropy": 0.0}
-        n_minibatches = 0
-        for _ in range(cfg.epochs):
-            order = self._shuffle_rng.permutation(n)
-            for start in range(0, n, cfg.minibatch_size):
-                idx = order[start : start + cfg.minibatch_size]
-                obs = batch.obs[idx]
+        steps = {"policy": 0, "value": 0}
+        errors = {}
+
+        def train_value_head() -> None:
+            try:
+                for idx in minibatches:
+                    vloss, value_grad = value_loss(
+                        self.value_spec, self.value_params, batch.obs[idx], value_targets[idx]
+                    )
+                    self.value_params, self.value_adam = adam_step(
+                        self.value_adam, self.value_params, value_grad
+                    )
+                    stats_acc["value_loss"] += vloss
+                    steps["value"] += 1
+            except BaseException as exc:  # threading would print it and drop it
+                errors["value"] = exc
+
+        # A copy of this context carries the caller's np.errstate to the worker.
+        worker = threading.Thread(target=contextvars.copy_context().run, args=(train_value_head,))
+        worker.start()
+        try:
+            for idx in minibatches:
                 objective, policy_grad, stats = ppo_objective(
                     self.policy_spec,
                     self.policy_params,
-                    obs,
+                    batch.obs[idx],
                     batch.actions[idx],
                     batch.log_probs[idx],
                     advantages[idx],
@@ -321,20 +352,22 @@ class PpoLearner(CheckpointedLearner):
                 self.policy_params, self.policy_adam = adam_step(
                     self.policy_adam, self.policy_params, -policy_grad
                 )
-                vloss, value_grad = value_loss(
-                    self.value_spec, self.value_params, obs, value_targets[idx]
-                )
-                self.value_params, self.value_adam = adam_step(
-                    self.value_adam, self.value_params, value_grad
-                )
                 stats_acc["policy_objective"] += objective
-                stats_acc["value_loss"] += vloss
                 stats_acc["clip_fraction"] += stats["clip_fraction"]
                 stats_acc["entropy"] += stats["entropy"]
-                n_minibatches += 1
+                steps["policy"] += 1
+        except Exception as exc:
+            errors["policy"] = exc
+        finally:
+            worker.join()
+        # One loop would step minibatch k's policy head before its value head.
+        if "value" in errors and steps["value"] < steps["policy"]:
+            raise errors["value"]
+        if "policy" in errors:
+            raise errors["policy"]
         self.rollouts_done += 1
         self.env_steps += n
-        return {key: value / max(n_minibatches, 1) for key, value in stats_acc.items()}
+        return {key: value / max(len(minibatches), 1) for key, value in stats_acc.items()}
 
     # -- checkpointing: the archive layout, written and checked by nets ---------
 

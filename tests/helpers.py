@@ -8,6 +8,7 @@ import math
 
 import numpy as np
 
+from highwaylab import ppo
 from highwaylab.env import (
     A_MAX,
     DT,
@@ -47,6 +48,55 @@ def gae_double_sum(rewards, values, next_values, terminated, episode_end, gamma,
             l += 1
         advantages[t] = acc
     return advantages
+
+
+def serial_ppo_update(self, batch):
+    """PPO update reference: `PpoLearner.update` as one loop that steps the
+    policy head and then the value head on each minibatch, drawing each
+    epoch's shuffle as the epoch starts. ``self`` is the learner; the
+    functions are looked up when called, so monkeypatches reach them."""
+    compute_gae, ppo_objective, value_loss = ppo.compute_gae, ppo.ppo_objective, ppo.value_loss
+    adam_step = ppo.adam_step
+    cfg = self.config
+    advantages, value_targets = compute_gae(batch, cfg.gamma, cfg.gae_lambda)
+    std = advantages.std()
+    advantages = (advantages - advantages.mean()) / (std + 1e-8)
+    n = len(batch)
+    stats_acc = {"policy_objective": 0.0, "value_loss": 0.0, "clip_fraction": 0.0, "entropy": 0.0}
+    n_minibatches = 0
+    for _ in range(cfg.epochs):
+        order = self._shuffle_rng.permutation(n)
+        for start in range(0, n, cfg.minibatch_size):
+            idx = order[start : start + cfg.minibatch_size]
+            obs = batch.obs[idx]
+            objective, policy_grad, stats = ppo_objective(
+                self.policy_spec,
+                self.policy_params,
+                obs,
+                batch.actions[idx],
+                batch.log_probs[idx],
+                advantages[idx],
+                cfg.clip_epsilon,
+                cfg.entropy_coef,
+            )
+            # Adam minimizes, so feed the negated ascent gradient.
+            self.policy_params, self.policy_adam = adam_step(
+                self.policy_adam, self.policy_params, -policy_grad
+            )
+            vloss, value_grad = value_loss(
+                self.value_spec, self.value_params, obs, value_targets[idx]
+            )
+            self.value_params, self.value_adam = adam_step(
+                self.value_adam, self.value_params, value_grad
+            )
+            stats_acc["policy_objective"] += objective
+            stats_acc["value_loss"] += vloss
+            stats_acc["clip_fraction"] += stats["clip_fraction"]
+            stats_acc["entropy"] += stats["entropy"]
+            n_minibatches += 1
+    self.rollouts_done += 1
+    self.env_steps += n
+    return {key: value / max(n_minibatches, 1) for key, value in stats_acc.items()}
 
 
 class ChainMdp:

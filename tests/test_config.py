@@ -189,6 +189,12 @@ class TestLinePreciseErrors:
         with pytest.raises(ConfigError, match=r"cfg:6: ghr_m must be >= 0"):
             parse_config(text, origin="cfg")
 
+    @pytest.mark.parametrize("key", ["policy_lr", "value_lr"])
+    def test_zero_ppo_learning_rate_blames_key_line(self, key):
+        text = f"[experiment]\nagent = ppo\n\n[ppo]\n{key} = 0\n"
+        with pytest.raises(ConfigError, match=rf"^cfg:5: {key} must be > 0$"):
+            parse_config(text, origin="cfg")
+
     def test_ppo_divisibility_enforced(self):
         text = "[experiment]\nagent = ppo\n\n[ppo]\nrollout_length = 100\n"
         with pytest.raises(ConfigError, match="divisible"):
@@ -292,7 +298,7 @@ def test_one_mutation_messages_are_pinned():
                     except ConfigError as exc:
                         outcomes.append(str(exc))
     assert len(outcomes) == 10_176
-    digest = "38eeede7b59af0d3d3dfac514f3bb127598cc90b9f57c4cd35d2650634c2f583"
+    digest = "734fa631ffb25d70eaf8f18168b3dcb80e2996939aa2218563f72a6c20844301"
     assert sha256(json.dumps(outcomes)) == digest
 
 
@@ -447,8 +453,6 @@ MULTI_FIELD_CHECKS = {
     (DqnConfig, "buffer_capacity"),
     (PpoConfig, "rollout_length"),
     (PpoConfig, "minibatch_size"),
-    (PpoConfig, "policy_lr"),
-    (PpoConfig, "value_lr"),
     (RewardWeights, "safety"),
     (RewardWeights, "comfort"),
     (RewardWeights, "efficiency"),

@@ -2,10 +2,17 @@
 objective gradients vs finite differences, and rollout reproducibility."""
 
 import copy
+import itertools
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import highwaylab.ppo as ppo
 from highwaylab.env import HighwayEnv, RoadConfig
 from highwaylab.errors import TrainingDivergenceError
 from highwaylab.nets import (
@@ -29,7 +36,7 @@ from highwaylab.ppo import (
 )
 
 
-from helpers import gae_double_sum
+from helpers import gae_double_sum, serial_ppo_update
 
 
 def random_segments(rng, length):
@@ -383,31 +390,32 @@ def small_ppo_config(**overrides):
     return PpoConfig(**base)
 
 
-class TestUpdate:
-    def synthetic_batch(self, learner, rng, n=64):
-        """Random rewards, values and episode ends, with actions and their log
-        probabilities under the learner's policy."""
-        obs = rng.normal(size=(n, learner.policy_spec.input_dim))
-        logits = forward(learner.policy_spec, learner.policy_params, obs)
-        logp = log_softmax(logits)
-        actions = np.array([rng.integers(learner.policy_spec.output_dim) for _ in range(n)])
-        terminated = rng.random(n) < 0.15
-        episode_end = terminated.copy()
-        episode_end[-1] = True
-        return RolloutBatch(
-            obs=obs,
-            actions=actions,
-            rewards=rng.normal(size=n),
-            values=rng.normal(size=n),
-            next_values=rng.normal(size=n),
-            log_probs=logp[np.arange(n), actions],
-            terminated=terminated,
-            episode_end=episode_end,
-        )
+def synthetic_batch(learner, rng, n=64):
+    """Random rewards, values and episode ends, with actions and their log
+    probabilities under the learner's policy."""
+    obs = rng.normal(size=(n, learner.policy_spec.input_dim))
+    logits = forward(learner.policy_spec, learner.policy_params, obs)
+    logp = log_softmax(logits)
+    actions = np.array([rng.integers(learner.policy_spec.output_dim) for _ in range(n)])
+    terminated = rng.random(n) < 0.15
+    episode_end = terminated.copy()
+    episode_end[-1] = True
+    return RolloutBatch(
+        obs=obs,
+        actions=actions,
+        rewards=rng.normal(size=n),
+        values=rng.normal(size=n),
+        next_values=rng.normal(size=n),
+        log_probs=logp[np.arange(n), actions],
+        terminated=terminated,
+        episode_end=episode_end,
+    )
 
+
+class TestUpdate:
     def test_zero_epochs_changes_nothing(self):
         learner = PpoLearner(4, 3, small_ppo_config(epochs=0), seed=0)
-        batch = self.synthetic_batch(learner, np.random.default_rng(0))
+        batch = synthetic_batch(learner, np.random.default_rng(0))
         before_p = learner.policy_params.values.copy()
         before_v = learner.value_params.values.copy()
         learner.update(batch)
@@ -418,7 +426,7 @@ class TestUpdate:
         import highwaylab.ppo as ppo
 
         learner = PpoLearner(4, 3, small_ppo_config(epochs=1), seed=5)
-        batch = self.synthetic_batch(learner, np.random.default_rng(6), n=512)
+        batch = synthetic_batch(learner, np.random.default_rng(6), n=512)
         seen = {"obs": [], "advantages": [], "targets": []}
 
         def record_objective(spec, params, obs, actions, old, advantages, *rest):
@@ -451,7 +459,7 @@ class TestUpdate:
         # Every step ends its episode with value 0, so a step's advantage is
         # its reward: +1 on even steps, -1 on odd ones.
         learner = PpoLearner(4, 3, small_ppo_config(entropy_coef=0.0), seed=1)
-        batch = self.synthetic_batch(learner, np.random.default_rng(2))
+        batch = synthetic_batch(learner, np.random.default_rng(2))
         batch.rewards[:] = np.where(np.arange(len(batch)) % 2 == 0, 1.0, -1.0)
         batch.values[:] = 0.0
         batch.terminated[:] = True
@@ -470,7 +478,7 @@ class TestUpdate:
 
     def test_update_does_not_touch_frozen_series(self):
         learner = PpoLearner(4, 3, small_ppo_config(), seed=3)
-        batch = self.synthetic_batch(learner, np.random.default_rng(4))
+        batch = synthetic_batch(learner, np.random.default_rng(4))
         before = {name: value.copy() for name, value in vars(batch).items()}
         learner.update(batch)
         for name, value in before.items():
@@ -483,6 +491,173 @@ class TestUpdate:
             PpoConfig(rollout_length=100, minibatch_size=64)
         with pytest.raises(ValueError):
             PpoConfig(gae_lambda=1.5)
+
+
+def update_state(learner):
+    """Everything an update changes: parameter and moment bytes, Adam step
+    counts, the shuffle generator's state and the learner's counters."""
+    arrays = (
+        learner.policy_params.values,
+        learner.value_params.values,
+        learner.policy_adam.m,
+        learner.policy_adam.v,
+        learner.value_adam.m,
+        learner.value_adam.v,
+    )
+    return (
+        [a.tobytes() for a in arrays],
+        learner.policy_adam.t,
+        learner.value_adam.t,
+        learner._shuffle_rng.bit_generator.state,
+        learner.rollouts_done,
+        learner.env_steps,
+    )
+
+
+def fail_at(fn, call, error_type, message):
+    """``fn``, except that its call number ``call`` (from 0) raises."""
+    calls = itertools.count()
+
+    def wrapper(*args):
+        if next(calls) == call:
+            raise error_type(message)
+        return fn(*args)
+
+    return wrapper
+
+
+class TestConcurrentUpdate:
+    """update() trains the value head on a second thread; what it returns,
+    changes and raises equals the one-loop reference in helpers.py."""
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("n_minibatches", [1, 8])
+    @pytest.mark.parametrize("epochs", [0, 1, 3])
+    def test_equals_the_serial_loop(self, epochs, n_minibatches, seed):
+        config = small_ppo_config(
+            epochs=epochs, minibatch_size=64 // n_minibatches, hidden_sizes=(16, 16)
+        )
+        threaded, serial = (PpoLearner(4, 3, config, seed=seed) for _ in range(2))
+        rng = np.random.default_rng(seed + 100)
+        threads = threading.active_count()
+        for _ in range(2):
+            batch = synthetic_batch(threaded, rng)
+            got = threaded.update(batch)
+            want = serial_ppo_update(serial, batch)
+            assert [(k, v.hex()) for k, v in got.items()] == [(k, v.hex()) for k, v in want.items()]
+            assert update_state(threaded) == update_state(serial)
+            assert threading.active_count() == threads
+
+    @pytest.mark.parametrize(
+        "policy_at, value_at",
+        [(2, 5), (5, 2), (3, 3), (0, 0), (7, 7), (None, 4), (6, None)],
+    )
+    def test_raises_the_serial_loops_divergence(self, monkeypatch, policy_at, value_at):
+        # Two epochs of four minibatches: calls 0-7 of each head.
+        config = small_ppo_config(epochs=2, minibatch_size=16)
+        threads = threading.active_count()
+        raised = []
+        for run in (serial_ppo_update, PpoLearner.update):
+            if policy_at is not None:
+                failing = fail_at(ppo_objective, policy_at, TrainingDivergenceError, "policy")
+                monkeypatch.setattr(ppo, "ppo_objective", failing)
+            if value_at is not None:
+                failing = fail_at(value_loss, value_at, TrainingDivergenceError, "value")
+                monkeypatch.setattr(ppo, "value_loss", failing)
+            learner = PpoLearner(4, 3, config, seed=7)
+            batch = synthetic_batch(learner, np.random.default_rng(8))
+            with pytest.raises(TrainingDivergenceError) as exc:
+                run(learner, batch)
+            raised.append(str(exc.value))
+            assert learner.rollouts_done == 0
+            assert threading.active_count() == threads
+        policy_first = value_at is None or (policy_at is not None and policy_at <= value_at)
+        assert raised == ["policy" if policy_first else "value"] * 2
+
+    def test_other_value_head_errors_reach_the_caller(self, monkeypatch):
+        monkeypatch.setattr(ppo, "value_loss", fail_at(value_loss, 3, ValueError, "broken"))
+        learner = PpoLearner(4, 3, small_ppo_config(), seed=0)
+        batch = synthetic_batch(learner, np.random.default_rng(1))
+        threads = threading.active_count()
+        with pytest.raises(ValueError, match="^broken$"):
+            learner.update(batch)
+        assert threading.active_count() == threads
+
+    def test_value_head_runs_beside_the_caller_under_its_errstate(self, monkeypatch):
+        seen = {"policy": set(), "value": set()}
+
+        def record(head, fn):
+            def wrapper(*args):
+                seen[head].add((threading.get_ident(), tuple(sorted(np.geterr().items()))))
+                return fn(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(ppo, "ppo_objective", record("policy", ppo_objective))
+        monkeypatch.setattr(ppo, "value_loss", record("value", value_loss))
+        learner = PpoLearner(4, 3, small_ppo_config(), seed=0)
+        batch = synthetic_batch(learner, np.random.default_rng(1))
+        with np.errstate(all="ignore"):
+            learner.update(batch)
+        ignore_all = tuple(sorted(dict.fromkeys(np.geterr(), "ignore").items()))
+        assert seen["policy"] == {(threading.get_ident(), ignore_all)}
+        ((worker, errstate),) = seen["value"]
+        assert worker != threading.get_ident() and errstate == ignore_all
+
+
+# Trains a short PPO merge run into argv[1]; its last line is one digest of
+# every output path and byte.
+_HASHED_TRAIN = """
+import hashlib, sys
+from pathlib import Path
+from highwaylab.config import parse_config
+from highwaylab.harness import run_train
+
+out = Path(sys.argv[1])
+run_train(parse_config(sys.stdin.read()), out)
+digest = hashlib.sha256()
+for path in sorted(out.rglob("*")):
+    if path.is_file():
+        digest.update(path.relative_to(out).as_posix().encode())
+        digest.update(path.read_bytes())
+print(digest.hexdigest())
+"""
+
+_SHORT_PPO_MERGE = """
+[experiment]
+agent = ppo
+scenario = merge
+seeds = 3
+total_env_steps = 2048
+eval_every = 2048
+eval_episodes = 1
+
+[ppo]
+rollout_length = 2048
+minibatch_size = 256
+"""
+
+
+def test_blas_thread_count_does_not_change_trained_bytes(tmp_path):
+    # The value head's worker thread calls BLAS beside the caller's, so one
+    # and two BLAS threads must still train the same bytes.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+            env[name] = threads
+        done = subprocess.run(
+            [sys.executable, "-c", _HASHED_TRAIN, str(tmp_path / f"blas_{threads}")],
+            input=_SHORT_PPO_MERGE,
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        digests.append(done.stdout.splitlines()[-1])
+    assert len(digests[0]) == 64 and digests[0] == digests[1]
 
 
 class ThreeForwardCollector(RolloutCollector):
