@@ -5,6 +5,13 @@ three-term driving reward, from-scratch MLP function approximators, DQN and
 PPO trainers, a rule-based baseline, and a reproducible experiment harness.
 """
 
+import os
+
+# One BLAS thread unless the environment says otherwise: the networks are too small
+# to gain from more. Set before numpy loads; the console script imports this first.
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")
+
 from .actions import N_ACTIONS, EgoAction
 from .config import ExperimentConfig, load_config, parse_config
 from .dqn import DqnConfig, DqnLearner, ReplayBuffer, Transition, TransitionBatch

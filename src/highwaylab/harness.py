@@ -311,13 +311,11 @@ class TrainingRun:
 
     `advance` is the loop body: one driver step, or for PPO one rollout and
     its update, then any due evaluation. The driver's one hook lets DQN learn
-    from each step, then hands it to the recorder. A divergence writes the
-    CSVs so far (no checkpoint_final.bin) and re-raises with seed and step.
+    from each step, then hands it to the recorder.
     """
 
     def __init__(self, config: ExperimentConfig, run_seed: int, out_dir):
         self.config = config
-        self.run_seed = run_seed
         self.out_dir = Path(out_dir)
         self.recorder = TrainRecorder()
         self.eval_rows: list[tuple] = []
@@ -334,7 +332,6 @@ class TrainingRun:
         elif agent == "dqn":
             self.driver = EpisodeDriver(env, self.learner, episode_seed, on_step=self._on_step)
         else:
-            self.eval_policy = build_eval_policy(config, None)
             if agent == "rules":
                 policy = RulePolicy(config)
             else:
@@ -352,16 +349,10 @@ class TrainingRun:
         self.recorder.on_step(self.driver.stats, outcome, self.driver.global_step)
 
     def advance(self) -> None:
-        try:
-            if self.config.agent == "ppo":
-                self.learner.update(self.driver.collect(self.learner, self.config.ppo.rollout_length))
-            else:
-                self.driver.step()
-        except TrainingDivergenceError as exc:
-            self.finish(diverged=True)
-            raise TrainingDivergenceError(
-                f"seed {self.run_seed}, global step {self.driver.global_step}: {exc}"
-            ) from exc
+        if self.config.agent == "ppo":
+            self.learner.update(self.driver.collect(self.learner, self.config.ppo.rollout_length))
+        else:
+            self.driver.step()
         if self.driver.global_step >= self.next_eval_at:
             self._evaluate()
 
@@ -370,7 +361,7 @@ class TrainingRun:
         while self.next_eval_at <= step:
             self.next_eval_at += self.config.eval_every
         if self.learner is None:
-            policy = self.eval_policy
+            policy = build_eval_policy(self.config, None)
         else:
             policy = GreedyPolicy(*acting_network(self.learner))
         summary, _ = evaluate_policy(self.config, policy, self.config.eval_episodes)
@@ -385,23 +376,30 @@ class TrainingRun:
             if self.learner is not None:
                 self.learner.save(self.out_dir / "checkpoint_best.bin")
 
-    def finish(self, diverged: bool = False) -> None:
-        """Write the three CSVs and, unless the run diverged, a learner's checkpoint_final.bin."""
+    def finish(self) -> None:
+        """Write the three CSVs with every row recorded so far."""
         self.driver.on_step = None  # the hook refers back to this run: unhook so both free at once
         self.recorder.write(self.out_dir)
         _write_csv(self.out_dir / "eval.csv", EVAL_CSV_COLUMNS, self.eval_rows)
-        if self.learner is not None and not diverged:
-            self.learner.save(self.out_dir / "checkpoint_final.bin")
 
 
 def train_seed(config: ExperimentConfig, run_seed: int, seed_dir: Path) -> None:
-    """run_train's loop body: train (or log) one of the config's seeds into seed_dir."""
+    """run_train's loop body: train (or log) one seed into seed_dir. However the run
+    stops, the CSVs keep its rows so far; only a finished run saves checkpoint_final.bin."""
     seed_dir.mkdir(parents=True, exist_ok=True)
     print(f"[train] agent={config.agent} scenario={config.scenario} seed={run_seed}")
     run = TrainingRun(config, run_seed, seed_dir)
-    while run.driver.global_step < config.total_env_steps:
-        run.advance()
-    run.finish()
+    try:
+        while run.driver.global_step < config.total_env_steps:
+            run.advance()
+        if run.learner is not None:
+            run.learner.save(seed_dir / "checkpoint_final.bin")
+    except TrainingDivergenceError as exc:
+        raise TrainingDivergenceError(
+            f"seed {run_seed}, global step {run.driver.global_step}: {exc}"
+        ) from exc
+    finally:
+        run.finish()
 
 
 def run_train(config: ExperimentConfig, out_dir) -> dict[int, Path]:

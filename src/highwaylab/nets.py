@@ -8,7 +8,7 @@ checker all agree on a single canonical layout:
         weight matrix, shape (n_out, n_in), C (row-major) order
         bias vector, shape (n_out,)
 
-Hidden layers apply the configured activation; the output layer is linear.
+Hidden layers apply ReLU; the output layer is linear.
 """
 
 from __future__ import annotations
@@ -44,16 +44,13 @@ MAX_LAYERS = 1024
 
 _MAGIC_NETWORK = b"HRLL"
 _MAGIC_ARCHIVE = b"HRLC"
-_ACTIVATION_CODES = {"relu": 0, "tanh": 1}
-_ACTIVATION_NAMES = {code: name for name, code in _ACTIVATION_CODES.items()}
 
 
 @dataclass(frozen=True)
 class NetworkSpec:
-    """Shape of an MLP: layer widths plus the hidden activation."""
+    """Shape of a ReLU MLP: its layer widths, input to output."""
 
     layer_sizes: tuple[int, ...]
-    activation: str = "relu"
 
     def __post_init__(self) -> None:
         sizes = tuple(int(s) for s in self.layer_sizes)
@@ -62,8 +59,6 @@ class NetworkSpec:
             raise ValueError("a network needs at least input and output layers")
         if any(s < 1 for s in sizes):
             raise ValueError(f"layer sizes must be >= 1, got {sizes}")
-        if self.activation not in _ACTIVATION_CODES:
-            raise ValueError(f"unknown activation {self.activation!r}")
 
     @property
     def input_dim(self) -> int:
@@ -177,7 +172,7 @@ def _activations(spec: NetworkSpec, values: np.ndarray, h: np.ndarray) -> list[n
         b = values[b_start:end]
         z = acts[-1] @ w.T + b
         if k <= last_hidden:
-            z = np.maximum(z, 0.0) if spec.activation == "relu" else np.tanh(z)
+            z = np.maximum(z, 0.0)
         acts.append(z)
     return acts
 
@@ -241,10 +236,7 @@ def backward(
         if k > 0:
             w = values[w_start:b_start].reshape(n_out, n_in)
             g = g @ w
-            a = acts[k]
-            # Derivative through the hidden activation, using its output:
-            # relu' = [a > 0], tanh' = 1 - a^2.
-            g = g * (a > 0.0) if spec.activation == "relu" else g * (1.0 - a * a)
+            g = g * (acts[k] > 0.0)  # relu' from the layer's output
     return grad
 
 
@@ -379,6 +371,7 @@ def log_softmax(logits, axis: int = -1) -> np.ndarray:
 #   magic "HRLL" | version u32 | layer_count u32 | sizes u32[layer_count]
 #   | activation u32 | param_count u64 | params f64[param_count] | crc32 u32
 # All integers and floats little-endian; the CRC32 covers every byte before it.
+# The activation code is always 0 (ReLU); a reader refuses any other.
 #
 # Archive file ("HRLC") used for agent checkpoints: named binary sections.
 #   magic "HRLC" | version u32 | section_count u32
@@ -399,7 +392,7 @@ def network_to_bytes(spec: NetworkSpec, params: ParameterSet) -> bytes:
         PARAMS_FORMAT_VERSION,
         n_layers,
         *spec.layer_sizes,
-        _ACTIVATION_CODES[spec.activation],
+        0,  # the activation code of ReLU
         params.values.size,
     )
     values = params.values.astype("<f8", copy=False)
@@ -476,14 +469,14 @@ def network_from_bytes(data: bytes) -> tuple[NetworkSpec, ParameterSet]:
         raise CheckpointFormatError(f"network checkpoint: bad layer count {layer_count}")
     sizes = r.unpack(f"<{layer_count}I")
     (act_code,) = r.unpack("<I")
-    if act_code not in _ACTIVATION_NAMES:
+    if act_code != 0:
         raise CheckpointFormatError(f"network checkpoint: bad activation code {act_code}")
     (count,) = r.unpack("<Q")
     values = r.take_floats(count)
     _check_crc(r, "network checkpoint")
     r.expect_end("checksum")
     try:
-        spec = NetworkSpec(sizes, _ACTIVATION_NAMES[act_code])
+        spec = NetworkSpec(sizes)
         if count != spec.n_params:
             raise CheckpointFormatError(
                 f"network checkpoint: {count} parameters but spec needs {spec.n_params}"

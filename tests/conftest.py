@@ -4,16 +4,13 @@ The acceptance tests register one line per numbered criterion here; the
 terminal summary re-emits them so the pass/fail report is visible even under
 output capture.
 
-BLAS runs one thread unless the environment says otherwise: the networks are
-too small for a second thread to buy wall time, and two training processes
-with two threads each on two cores ran 6-12 times slower than with one. This
-module is imported before any test module, so before numpy is.
+BLAS runs one thread unless the environment says otherwise: two training
+processes with two threads each on two cores ran 6-12 times slower than with
+one. Importing highwaylab sets that default, and this module is imported
+before any test module, so before numpy is.
 """
 
-import os
-
-for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ.setdefault(_name, "1")
+import highwaylab  # noqa: F401  (sets one BLAS thread before numpy loads)
 
 CRITERION_RESULTS: list[str] = []
 

@@ -176,10 +176,9 @@ class TestLossAndGradient:
             numeric = (lp - lm) / (2 * h)
             assert grad[i] == pytest.approx(numeric, rel=1e-4, abs=1e-8)
 
-    @pytest.mark.parametrize("activation", ["relu", "tanh"])
-    def test_equals_forward_then_backward(self, activation):
+    @pytest.mark.parametrize("spec", [NetworkSpec((6, 12, 10, 4))], ids=["relu"])
+    def test_equals_forward_then_backward(self, spec):
         rng = np.random.default_rng(17)
-        spec = NetworkSpec((6, 12, 10, 4), activation=activation)
         params = init_params(spec, 4)
         batch = make_batch(rng, spec, size=64)
         y = compute_targets(batch, spec, init_params(spec, 5), gamma=0.95)

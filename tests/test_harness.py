@@ -4,10 +4,14 @@ import gc
 import hashlib
 import json
 import math
+import os
 import struct
+import subprocess
+import sys
 import warnings
 import weakref
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +20,7 @@ from highwaylab.actions import N_ACTIONS
 from highwaylab.cli import EXIT_CONFIG, EXIT_DIVERGENCE, EXIT_IO, EXIT_OK, main
 from highwaylab.config import parse_config
 from highwaylab.dqn import DqnConfig, DqnLearner
-from highwaylab.env import DECISION_PERIOD, OBS_DIM
+from highwaylab.env import DECISION_PERIOD, OBS_DIM, HighwayEnv
 from highwaylab.errors import CheckpointError, CheckpointFormatError, CheckpointMismatchError
 from highwaylab.harness import (
     EVAL_CSV_COLUMNS,
@@ -303,6 +307,51 @@ learning_rate = 1e300
         assert int(rows["metrics"][-1][1]) <= 250
 
 
+class TestInterruptedRun:
+    """An error that stops a run mid-episode leaves the rows recorded so far."""
+
+    @pytest.mark.parametrize(
+        "text, k",
+        [
+            (SMALL_RANDOM.replace("agent = random", "agent = rules"), 230),
+            (SMALL_DQN, 100),
+            (SMALL_DQN, 170),
+            (SMALL_PPO, 100),  # inside the first 128-step rollout, before any evaluation
+            (SMALL_PPO, 190),  # inside the second, after the step-128 evaluation
+        ],
+        ids=["rules", "dqn-before-eval", "dqn-after-eval", "ppo-before-eval", "ppo-after-eval"],
+    )
+    def test_csvs_are_prefixes_of_the_uninterrupted_run(self, tmp_path, monkeypatch, text, k):
+        cfg = parse_config(text)
+        whole = run_train(cfg, tmp_path / "whole")[5]
+        _, episodes = read_csv(whole / "metrics.csv")
+        assert not {k - 1, k} & {int(row[1]) for row in episodes}  # k is mid-episode
+
+        # An evaluation env takes at most eval_episodes * 40 = 80 steps, so
+        # only the training env reaches step k.
+        steps = weakref.WeakKeyDictionary()
+        step = HighwayEnv.step
+
+        def failing_step(env, action):
+            steps[env] = steps.get(env, 0) + 1
+            if steps[env] == k:
+                raise OSError("disk gone")
+            return step(env, action)
+
+        monkeypatch.setattr(HighwayEnv, "step", failing_step)
+        with pytest.raises(OSError, match="disk gone"):
+            run_train(cfg, tmp_path / "cut")
+        cut = tmp_path / "cut" / "seed_5"
+        for name in ("metrics.csv", "faults.csv", "eval.csv"):
+            assert (whole / name).read_bytes().startswith((cut / name).read_bytes()), name
+        assert len(read_csv(cut / "faults.csv")[1]) == k - 1
+        evaluated = bool(read_csv(cut / "eval.csv")[1])
+        assert evaluated == (k > cfg.eval_every)
+        learned = cfg.agent != "rules"
+        assert (cut / "checkpoint_best.bin").exists() == (learned and evaluated)
+        assert not (cut / "checkpoint_final.bin").exists()
+
+
 class TestOneEpisodeLoop:
     def test_first_training_row_equals_run_episode(self, tmp_path):
         cfg = parse_config(SMALL_RANDOM.replace("agent = random", "agent = rules"))
@@ -474,6 +523,22 @@ class TestCli:
         )
         # compare fails with EXIT_IO: no trained checkpoints configured
         assert main(["compare", "--config", str(config_path), "--out", str(tmp_path / "cmp")]) == EXIT_IO
+
+    @pytest.mark.parametrize("preset", [None, "3"], ids=["unset", "preset"])
+    def test_import_defaults_blas_to_one_thread(self, preset):
+        # The console script imports the package before cli.main, so the
+        # package's import is where the default takes effect.
+        names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+        env = {k: v for k, v in os.environ.items() if k not in names}
+        env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+        if preset is not None:
+            env.update(dict.fromkeys(names, preset))
+        code = f"import os, highwaylab; print(*(os.environ[n] for n in {names!r}))"
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == [preset or "1"] * 3
 
     def test_config_error_exit_code(self, tmp_path):
         config_path = tmp_path / "bad.ini"
@@ -762,11 +827,13 @@ class TestCorruptCheckpoint:
             # HRLL header: magic, version, layer count, then the sizes (4, 4, 3).
             ("dqn", "q", 16, struct.pack("<I", 0), "layer sizes must be >= 1"),
             ("ppo", "value", 16, struct.pack("<I", 0), "layer sizes must be >= 1"),
+            # The activation code follows the sizes; only 0, ReLU, is accepted.
+            ("dqn", "q", 24, struct.pack("<I", 1), "bad activation code 1"),
             # The first parameter follows the activation code and the count.
             ("dqn", "q_target", 36, struct.pack("<d", math.nan), "must be finite"),
             ("ppo", "policy", 36, struct.pack("<d", math.inf), "must be finite"),
         ],
-        ids=["q-size-0", "value-size-0", "q_target-nan", "policy-inf"],
+        ids=["q-size-0", "value-size-0", "q-activation-1", "q_target-nan", "policy-inf"],
     )
     def test_network_section_out_of_range(self, tmp_path, agent, section, offset, raw, message):
         edit = lambda s: s.update({section: self.resealed(s[section], offset, raw)})

@@ -187,7 +187,7 @@ class TestClippedSurrogate:
 
 
 def tiny_policy(seed=0, n_actions=3, obs_dim=4):
-    spec = NetworkSpec((obs_dim, 6, n_actions), activation="tanh")
+    spec = NetworkSpec((obs_dim, 6, n_actions))
     return spec, init_params(spec, seed)
 
 
@@ -258,10 +258,9 @@ class TestPpoObjective:
                 spec, params, obs, np.array([0]), np.array([-2000.0]), np.ones(1), 0.2, 0.0
             )
 
-    @pytest.mark.parametrize("activation", ["relu", "tanh"])
-    def test_equals_forward_then_backward(self, activation):
+    @pytest.mark.parametrize("spec", [NetworkSpec((5, 9, 7, 4))], ids=["relu"])
+    def test_equals_forward_then_backward(self, spec):
         rng = np.random.default_rng(13)
-        spec = NetworkSpec((5, 9, 7, 4), activation=activation)
         params = init_params(spec, 6)
         obs, actions, old, advantages = objective_inputs(rng, spec, n=256)
         objective, grad, stats = ppo_objective(
@@ -354,7 +353,7 @@ class TestValueLoss:
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(3)
-        spec = NetworkSpec((3, 6, 1), activation="tanh")
+        spec = NetworkSpec((3, 6, 1))
         params = init_params(spec, 5)
         obs = rng.normal(size=(7, 3))
         targets = rng.normal(size=7)
@@ -370,10 +369,9 @@ class TestValueLoss:
             theta[i] = orig
             assert grad[i] == pytest.approx((fp - fm) / (2 * h), rel=1e-5, abs=1e-9)
 
-    @pytest.mark.parametrize("activation", ["relu", "tanh"])
-    def test_equals_forward_then_backward(self, activation):
+    @pytest.mark.parametrize("spec", [NetworkSpec((5, 9, 7, 1))], ids=["relu"])
+    def test_equals_forward_then_backward(self, spec):
         rng = np.random.default_rng(8)
-        spec = NetworkSpec((5, 9, 7, 1), activation=activation)
         params = init_params(spec, 2)
         obs = rng.normal(size=(256, 5))
         targets = rng.normal(size=256)
