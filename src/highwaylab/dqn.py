@@ -132,12 +132,13 @@ def epsilon_schedule(env_steps: int, cfg: DqnConfig) -> float:
     return cfg.epsilon_start + frac * (cfg.epsilon_end - cfg.epsilon_start)
 
 
-def select_action(q_values: np.ndarray, epsilon: float, rng: np.random.Generator) -> int:
+def select_action(q_values: np.ndarray, epsilon: float, rng: np.random.Generator | None) -> int:
     """Epsilon-greedy with lowest-index tie-breaking on the greedy branch.
 
     Exactly one uniform draw decides explore/exploit, followed by one integer
     draw on the explore branch; this draw order is part of the determinism
-    contract for seeded action streams.
+    contract for seeded action streams. At epsilon 0 nothing is drawn, and
+    `rng` may be None.
     """
     q = np.asarray(q_values, dtype=np.float64)
     if not np.all(np.isfinite(q)):

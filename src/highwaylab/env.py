@@ -500,15 +500,12 @@ class HighwayEnv:
         Meant for constructing specific situations in demos and tests; normal
         episodes get their traffic from reset().
         """
-        if self._ego is None:
-            raise EnvStateError("environment has not been reset")
+        self.ego  # raises EnvStateError before the first reset
         self._traffic.append(vehicle)
 
     def _spawn_fits(self, x: float, y: float, half_lane: float) -> bool:
-        """No vehicle placed yet, the ego included, is this close in both y and x."""
-        ego = self._ego
-        if abs(ego.y - y) < half_lane and abs(ego.x - x) < _MIN_SPAWN_CENTRE_DIST:
-            return False
+        """No traffic vehicle placed yet is this close in both y and x. The ego,
+        at x = 0, is further than that from every spawn x."""
         for other in self._traffic:
             if abs(other.y - y) < half_lane and abs(other.x - x) < _MIN_SPAWN_CENTRE_DIST:
                 return False
@@ -516,36 +513,20 @@ class HighwayEnv:
 
     def step(self, action: EgoAction | int) -> StepOutcome:
         """Apply one meta-action and advance a full decision period."""
-        if self._ego is None:
-            raise EnvStateError("environment has not been reset")
+        ego = self.ego
         if not self._active:
             raise EpisodeFinishedError(
                 "episode already finished; call reset() before stepping again"
             )
         action = EgoAction(action)
-        ego = self._ego
-        prev_view = EgoPeriodView(
-            speed=ego.v, lane_target=ego.lane_target, crashed=ego.crashed
-        )
+        lane_before = ego.lane_target
 
-        if action == EgoAction.FASTER:
-            ego.target_speed = _clamp(
-                ego.target_speed + TARGET_SPEED_STEP,
-                TARGET_SPEED_MIN,
-                TARGET_SPEED_MAX,
-            )
-        elif action == EgoAction.SLOWER:
-            ego.target_speed = _clamp(
-                ego.target_speed - TARGET_SPEED_STEP,
-                TARGET_SPEED_MIN,
-                TARGET_SPEED_MAX,
-            )
-        elif action == EgoAction.LANE_LEFT:
-            if ego.lane_target > 0:
-                ego.lane_target -= 1
-        elif action == EgoAction.LANE_RIGHT:
-            if ego.lane_target < self.road.lane_count - 1:
-                ego.lane_target += 1
+        if action in (EgoAction.FASTER, EgoAction.SLOWER):
+            step = TARGET_SPEED_STEP if action == EgoAction.FASTER else -TARGET_SPEED_STEP
+            ego.target_speed = _clamp(ego.target_speed + step, TARGET_SPEED_MIN, TARGET_SPEED_MAX)
+        elif action in (EgoAction.LANE_LEFT, EgoAction.LANE_RIGHT):
+            step = -1 if action == EgoAction.LANE_LEFT else 1
+            ego.lane_target = _clamp(lane_before + step, 0, self.road.lane_count - 1)
 
         abs_accel_sum = self._run_period()
 
@@ -555,16 +536,14 @@ class HighwayEnv:
         if terminated or truncated:
             self._active = False
 
-        next_view = EgoPeriodView(
+        view = EgoPeriodView(
             speed=ego.v,
-            lane_target=ego.lane_target,
+            lane_change=ego.lane_target != lane_before,
             crashed=ego.crashed,
             leader_gap=None if ego.crashed else self.ego_leader_gap(),
             mean_abs_accel=abs_accel_sum / SUBSTEPS,
         )
-        breakdown = compute_reward(
-            prev_view, action, next_view, self.weights, self.reward_params
-        )
+        breakdown = compute_reward(view, self.weights, self.reward_params)
         info = {
             "ego_speed": ego.v,
             "ego_lane": self.ego_lane(),

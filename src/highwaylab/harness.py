@@ -28,11 +28,11 @@ import numpy as np
 
 from .actions import N_ACTIONS
 from .config import AGENTS, ExperimentConfig
-from .dqn import DqnLearner, Transition
+from .dqn import DqnLearner, Transition, select_action
 from .env import DECISION_PERIOD, OBS_DIM, HighwayEnv, StepOutcome
 from .episodes import EpisodeDriver, EpisodeStats
 from .errors import CheckpointError, CheckpointMismatchError, TrainingDivergenceError
-from .nets import NetworkSpec, ParameterSet, acting_network, forward
+from .nets import NetworkSpec, ParameterSet, forward
 from .ppo import PpoLearner, RolloutCollector
 from .rules import RuleAgent
 
@@ -222,7 +222,7 @@ class RulePolicy:
 
 
 class GreedyPolicy:
-    """Argmax of a network's outputs; keeps no per-episode state."""
+    """`select_action` at epsilon 0 on a network's outputs; keeps no per-episode state."""
 
     def __init__(self, spec: NetworkSpec, params: ParameterSet):
         self._spec = spec
@@ -232,7 +232,7 @@ class GreedyPolicy:
         pass
 
     def act(self, obs: np.ndarray) -> int:
-        return int(np.argmax(forward(self._spec, self._params, obs)))
+        return select_action(forward(self._spec, self._params, obs), 0.0, None)
 
 
 def make_env(config: ExperimentConfig) -> HighwayEnv:
@@ -258,7 +258,7 @@ def build_eval_policy(config: ExperimentConfig, checkpoint: str | Path | None):
     if not path.exists():
         raise CheckpointError(f"checkpoint not found: {path}")
     learner = LEARNERS[config.agent].load(path, getattr(config, config.agent))
-    spec, params = acting_network(learner)
+    spec, params = learner.acting_network()
     if (spec.input_dim, spec.output_dim) != (OBS_DIM, N_ACTIONS):
         raise CheckpointMismatchError(
             f"checkpoint network maps {spec.input_dim} inputs to {spec.output_dim} "
@@ -363,7 +363,7 @@ class TrainingRun:
         if self.learner is None:
             policy = build_eval_policy(self.config, None)
         else:
-            policy = GreedyPolicy(*acting_network(self.learner))
+            policy = GreedyPolicy(*self.learner.acting_network())
         summary, _ = evaluate_policy(self.config, policy, self.config.eval_episodes)
         self.eval_rows.append(_summary_row(len(self.eval_rows), step, summary))
         print(
@@ -389,17 +389,23 @@ def train_seed(config: ExperimentConfig, run_seed: int, seed_dir: Path) -> None:
     seed_dir.mkdir(parents=True, exist_ok=True)
     print(f"[train] agent={config.agent} scenario={config.scenario} seed={run_seed}")
     run = TrainingRun(config, run_seed, seed_dir)
+    diverged = False
     try:
         while run.driver.global_step < config.total_env_steps:
             run.advance()
         if run.learner is not None:
             run.learner.save(seed_dir / "checkpoint_final.bin")
     except TrainingDivergenceError as exc:
+        diverged = True
         raise TrainingDivergenceError(
             f"seed {run_seed}, global step {run.driver.global_step}: {exc}"
         ) from exc
     finally:
-        run.finish()
+        try:
+            run.finish()
+        except OSError:
+            if not diverged:  # a failed write of the rows so far must not hide the divergence
+                raise
 
 
 def run_train(config: ExperimentConfig, out_dir) -> dict[int, Path]:

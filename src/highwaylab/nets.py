@@ -117,9 +117,6 @@ class ParameterSet:
         object.__setattr__(params, "values", _freeze_finite(values))
         return params
 
-    def __len__(self) -> int:
-        return int(self.values.size)
-
 
 def _freeze_finite(values: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(values)):
@@ -576,102 +573,95 @@ def adam_from_bytes(data: bytes) -> AdamState:
     return AdamState(m=m, v=v, t=int(t), learning_rate=lr, beta1=beta1, beta2=beta2, eps=eps)
 
 
-def acting_network(learner) -> tuple[NetworkSpec, ParameterSet]:
-    """The (spec, params) of the network that acts: the first one the learner's class declares."""
-    spec_attr, params_attr = next(iter(type(learner).NETWORKS.values()))
-    return getattr(learner, spec_attr), getattr(learner, params_attr)
-
-
-def save_agent(learner, path) -> None:
-    """Write ``learner`` as the HRLC archive its class declares.
+class CheckpointedLearner:
+    """A learner that is saved and loaded as the archive its class declares.
 
     The class names its ``AGENT`` kind, its ``NETWORKS`` and ``OPTIMIZERS``
     as ``{section: (spec attribute, params or Adam attribute)}`` and its
-    integer ``COUNTERS``. The meta section holds the kind, the acting
-    network's input and output widths as ``obs_dim`` and ``n_actions``, and
-    the counters; the networks and then the optimizers follow in order.
+    integer ``COUNTERS``.
     """
-    cls = type(learner)
-    spec, _ = acting_network(learner)
-    meta = {"agent": cls.AGENT, "obs_dim": spec.input_dim, "n_actions": spec.output_dim}
-    meta.update((name, getattr(learner, name)) for name in cls.COUNTERS)
-    sections = [("meta", json.dumps(meta, sort_keys=True).encode("utf-8"))]
-    for name, (spec_attr, params_attr) in cls.NETWORKS.items():
-        sections.append(
-            (name, network_to_bytes(getattr(learner, spec_attr), getattr(learner, params_attr)))
-        )
-    for name, (_, adam_attr) in cls.OPTIMIZERS.items():
-        sections.append((name, adam_to_bytes(getattr(learner, adam_attr))))
-    write_archive(path, sections)
 
-
-def load_agent(cls, path, config, seed):
-    """Restore a learner written by `save_agent` into ``cls(obs_dim, n_actions, config, seed)``.
-
-    Raises CheckpointMismatchError when the archive holds another agent, a
-    network whose shape differs from the config-built learner's, or an
-    optimizer sized for another network; CheckpointFormatError when the meta
-    is not a UTF-8 JSON object with every counter a non-negative integer,
-    its ``obs_dim`` and ``n_actions`` are not the first network's input and
-    output widths, or a section is missing or malformed.
-    """
-    sections = read_archive(path)
-    if "meta" not in sections:
-        raise CheckpointMismatchError("checkpoint has no meta section")
-    try:
-        meta = json.loads(sections["meta"].decode("utf-8"))
-    except (ValueError, RecursionError) as exc:  # also nesting too deep to decode
-        raise CheckpointFormatError(f"checkpoint meta is not UTF-8 JSON: {exc}") from None
-    if not isinstance(meta, dict):
-        raise CheckpointFormatError("checkpoint meta is not a JSON object")
-    if meta.get("agent") != cls.AGENT:
-        raise CheckpointMismatchError(
-            f"expected a {cls.AGENT} checkpoint, found {meta.get('agent')!r}"
-        )
-    missing = [name for name in (*cls.NETWORKS, *cls.OPTIMIZERS) if name not in sections]
-    if missing:
-        raise CheckpointFormatError(f"checkpoint has no {', '.join(missing)} section")
-    if not all(type(meta.get(name)) is int and meta[name] >= 0 for name in cls.COUNTERS):
-        raise CheckpointFormatError(
-            f"checkpoint meta needs non-negative integer {', '.join(cls.COUNTERS)}"
-        )
-    networks = {name: network_from_bytes(sections[name]) for name in cls.NETWORKS}
-    spec, _ = next(iter(networks.values()))
-    if (meta.get("obs_dim"), meta.get("n_actions")) != (spec.input_dim, spec.output_dim):
-        raise CheckpointFormatError(
-            f"checkpoint meta gives obs_dim {meta.get('obs_dim')!r}, n_actions "
-            f"{meta.get('n_actions')!r}; its first network maps {spec.input_dim} to "
-            f"{spec.output_dim}"
-        )
-    learner = cls(spec.input_dim, spec.output_dim, config, seed)
-    for name, (spec_attr, params_attr) in cls.NETWORKS.items():
-        spec, params = networks[name]
-        if spec != getattr(learner, spec_attr):
-            raise CheckpointMismatchError(
-                f"{name} section holds network {spec}, "
-                f"the config expects {getattr(learner, spec_attr)}"
-            )
-        setattr(learner, params_attr, params)
-    for name, (spec_attr, adam_attr) in cls.OPTIMIZERS.items():
-        state = adam_from_bytes(sections[name])
-        n_params = getattr(learner, spec_attr).n_params
-        if state.m.size != n_params:
-            raise CheckpointMismatchError(
-                f"{name} section holds {state.m.size} optimizer entries, "
-                f"its network has {n_params} parameters"
-            )
-        setattr(learner, adam_attr, state)
-    for name in cls.COUNTERS:
-        setattr(learner, name, meta[name])
-    return learner
-
-
-class CheckpointedLearner:
-    """A learner that is saved and loaded as the archive its class declares."""
+    def acting_network(self) -> tuple[NetworkSpec, ParameterSet]:
+        """The (spec, params) of the network that acts: the first one the class declares."""
+        spec_attr, params_attr = next(iter(self.NETWORKS.values()))
+        return getattr(self, spec_attr), getattr(self, params_attr)
 
     def save(self, path) -> None:
-        save_agent(self, path)
+        """Write this learner as the HRLC archive its class declares.
+
+        The meta section holds the kind, the acting network's input and
+        output widths as ``obs_dim`` and ``n_actions``, and the counters; the
+        networks and then the optimizers follow in order.
+        """
+        spec, _ = self.acting_network()
+        meta = {"agent": self.AGENT, "obs_dim": spec.input_dim, "n_actions": spec.output_dim}
+        meta.update((name, getattr(self, name)) for name in self.COUNTERS)
+        sections = [("meta", json.dumps(meta, sort_keys=True).encode("utf-8"))]
+        for name, (spec_attr, params_attr) in self.NETWORKS.items():
+            sections.append(
+                (name, network_to_bytes(getattr(self, spec_attr), getattr(self, params_attr)))
+            )
+        for name, (_, adam_attr) in self.OPTIMIZERS.items():
+            sections.append((name, adam_to_bytes(getattr(self, adam_attr))))
+        write_archive(path, sections)
 
     @classmethod
-    def load(cls, path, config=None, seed: int = 0):
-        return load_agent(cls, path, config, seed)
+    def load(cls, path, config=None):
+        """Restore a learner written by `save` into ``cls(obs_dim, n_actions, config)``.
+
+        Raises CheckpointMismatchError when the archive holds another agent, a
+        network whose shape differs from the config-built learner's, or an
+        optimizer sized for another network; CheckpointFormatError when the meta
+        is not a UTF-8 JSON object with every counter a non-negative integer,
+        its ``obs_dim`` and ``n_actions`` are not the first network's input and
+        output widths, or a section is missing or malformed.
+        """
+        sections = read_archive(path)
+        if "meta" not in sections:
+            raise CheckpointMismatchError("checkpoint has no meta section")
+        try:
+            meta = json.loads(sections["meta"].decode("utf-8"))
+        except (ValueError, RecursionError) as exc:  # also nesting too deep to decode
+            raise CheckpointFormatError(f"checkpoint meta is not UTF-8 JSON: {exc}") from None
+        if not isinstance(meta, dict):
+            raise CheckpointFormatError("checkpoint meta is not a JSON object")
+        if meta.get("agent") != cls.AGENT:
+            raise CheckpointMismatchError(
+                f"expected a {cls.AGENT} checkpoint, found {meta.get('agent')!r}"
+            )
+        missing = [name for name in (*cls.NETWORKS, *cls.OPTIMIZERS) if name not in sections]
+        if missing:
+            raise CheckpointFormatError(f"checkpoint has no {', '.join(missing)} section")
+        if not all(type(meta.get(name)) is int and meta[name] >= 0 for name in cls.COUNTERS):
+            raise CheckpointFormatError(
+                f"checkpoint meta needs non-negative integer {', '.join(cls.COUNTERS)}"
+            )
+        networks = {name: network_from_bytes(sections[name]) for name in cls.NETWORKS}
+        spec, _ = next(iter(networks.values()))
+        if (meta.get("obs_dim"), meta.get("n_actions")) != (spec.input_dim, spec.output_dim):
+            raise CheckpointFormatError(
+                f"checkpoint meta gives obs_dim {meta.get('obs_dim')!r}, n_actions "
+                f"{meta.get('n_actions')!r}; its first network maps {spec.input_dim} to "
+                f"{spec.output_dim}"
+            )
+        learner = cls(spec.input_dim, spec.output_dim, config)
+        for name, (spec_attr, params_attr) in cls.NETWORKS.items():
+            spec, params = networks[name]
+            if spec != getattr(learner, spec_attr):
+                raise CheckpointMismatchError(
+                    f"{name} section holds network {spec}, "
+                    f"the config expects {getattr(learner, spec_attr)}"
+                )
+            setattr(learner, params_attr, params)
+        for name, (spec_attr, adam_attr) in cls.OPTIMIZERS.items():
+            state = adam_from_bytes(sections[name])
+            n_params = getattr(learner, spec_attr).n_params
+            if state.m.size != n_params:
+                raise CheckpointMismatchError(
+                    f"{name} section holds {state.m.size} optimizer entries, "
+                    f"its network has {n_params} parameters"
+                )
+            setattr(learner, adam_attr, state)
+        for name in cls.COUNTERS:
+            setattr(learner, name, meta[name])
+        return learner

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .actions import EgoAction
 from .errors import bound, check_bounds
 
 
@@ -70,15 +69,17 @@ class RewardBreakdown:
 
 @dataclass(frozen=True)
 class EgoPeriodView:
-    """What the reward needs to know about the ego at a decision boundary.
+    """What the reward needs to know about the ego after one decision period.
 
-    `leader_gap` is the bumper-to-bumper gap to the same-lane leader, or None
-    when there is no leader ahead. `mean_abs_accel` is the mean magnitude of
-    the commanded longitudinal acceleration over the period's sub-steps.
+    `lane_change` is whether the period's command moved the ego's target
+    lane (a lane command at the road's edge moves nothing). `leader_gap` is
+    the bumper-to-bumper gap to the same-lane leader, or None when there is
+    no leader ahead. `mean_abs_accel` is the mean magnitude of the commanded
+    longitudinal acceleration over the period's sub-steps.
     """
 
     speed: float
-    lane_target: int
+    lane_change: bool
     crashed: bool = False
     leader_gap: float | None = None
     mean_abs_accel: float = 0.0
@@ -113,22 +114,10 @@ def efficiency_term(ego_speed: float, p: RewardParams) -> float:
 
 
 def compute_reward(
-    prev: EgoPeriodView,
-    action: EgoAction,
-    next_view: EgoPeriodView,
-    weights: RewardWeights,
-    params: RewardParams,
+    view: EgoPeriodView, weights: RewardWeights, params: RewardParams
 ) -> RewardBreakdown:
-    """Score one decision period from its before/after ego views.
-
-    A lane change counts as initiated only when the action was a lane command
-    and it actually moved the target lane (boundary no-ops are free).
-    """
-    lane_change_initiated = (
-        action in (EgoAction.LANE_LEFT, EgoAction.LANE_RIGHT)
-        and next_view.lane_target != prev.lane_target
-    )
-    safety = safety_term(next_view.crashed, next_view.leader_gap, next_view.speed, params)
-    comfort = comfort_term(next_view.mean_abs_accel, lane_change_initiated, params)
-    efficiency = efficiency_term(next_view.speed, params)
+    """Score one decision period from the ego's view at its end."""
+    safety = safety_term(view.crashed, view.leader_gap, view.speed, params)
+    comfort = comfort_term(view.mean_abs_accel, view.lane_change, params)
+    efficiency = efficiency_term(view.speed, params)
     return RewardBreakdown.combine(weights, safety, comfort, efficiency)

@@ -345,6 +345,24 @@ class TestStep:
         assert env.ego.lane_target == 0
         assert env.ego.x > x_before
 
+    @pytest.mark.parametrize(
+        "lane, action",
+        [(0, EgoAction.LANE_LEFT), (RoadConfig().lane_count - 1, EgoAction.LANE_RIGHT)],
+        ids=["left-in-lane-0", "right-in-last-lane"],
+    )
+    def test_lane_command_at_the_road_edge_costs_nothing(self, lane, action):
+        env = empty_env(lane=lane)  # an empty road, at the steady 25 m/s
+        out = env.step(action)
+        assert env.ego.lane_target == lane
+        assert out.reward.comfort == 0.0
+
+    @pytest.mark.parametrize("action", [EgoAction.LANE_LEFT, EgoAction.LANE_RIGHT])
+    def test_lane_change_costs_kappa(self, action):
+        env = empty_env(lane=1)
+        out = env.step(action)
+        assert env.ego.lane_target != 1
+        assert out.reward.comfort == -env.reward_params.kappa_lane_change
+
     def test_faster_matches_substep_euler_oracle(self):
         env = empty_env()
         env.step(EgoAction.FASTER)  # target 25 -> 30

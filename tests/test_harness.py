@@ -1,7 +1,9 @@
 """Harness tests: file schemas, byte determinism, cross-file consistency."""
 
+import errno
 import gc
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -21,7 +23,12 @@ from highwaylab.cli import EXIT_CONFIG, EXIT_DIVERGENCE, EXIT_IO, EXIT_OK, main
 from highwaylab.config import parse_config
 from highwaylab.dqn import DqnConfig, DqnLearner
 from highwaylab.env import DECISION_PERIOD, OBS_DIM, HighwayEnv
-from highwaylab.errors import CheckpointError, CheckpointFormatError, CheckpointMismatchError
+from highwaylab.errors import (
+    CheckpointError,
+    CheckpointFormatError,
+    CheckpointMismatchError,
+    TrainingDivergenceError,
+)
 from highwaylab.harness import (
     EVAL_CSV_COLUMNS,
     FAULTS_CSV_COLUMNS,
@@ -29,6 +36,7 @@ from highwaylab.harness import (
     TRAJECTORY_CSV_COLUMNS,
     RulePolicy,
     TrainingRun,
+    TrainRecorder,
     build_eval_policy,
     compare,
     derive_seed,
@@ -44,6 +52,7 @@ from highwaylab.harness import (
 from highwaylab.nets import (
     AdamState,
     NetworkSpec,
+    ParameterSet,
     adam_to_bytes,
     init_params,
     network_from_bytes,
@@ -305,6 +314,35 @@ learning_rate = 1e300
         assert [int(row[0]) for row in rows["faults"]] == list(range(1, 251))
         assert [row[1] for row in rows["eval"]] == ["100", "200"]
         assert int(rows["metrics"][-1][1]) <= 250
+
+    @pytest.mark.parametrize(
+        "diverge, code, message",
+        [
+            (True, EXIT_DIVERGENCE, "training diverged: seed 5, global step 120: non-finite DQN loss"),
+            (False, EXIT_IO, "i/o error: [Errno 28] No space left on device"),
+        ],
+        ids=["diverged", "finished"],
+    )
+    def test_write_failure_does_not_hide_a_divergence(
+        self, tmp_path, monkeypatch, capsys, diverge, code, message
+    ):
+        calls = itertools.count(1)
+        train_step = DqnLearner.train_step
+
+        def diverging_train_step(learner):
+            if diverge and next(calls) == 120:
+                raise TrainingDivergenceError("non-finite DQN loss")
+            return train_step(learner)
+
+        def failing_write(recorder, out_dir):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(DqnLearner, "train_step", diverging_train_step)
+        monkeypatch.setattr(TrainRecorder, "write", failing_write)
+        config_path = tmp_path / "cfg.ini"
+        config_path.write_text(SMALL_DQN)
+        assert main(["train", "--config", str(config_path), "--out", str(tmp_path / "runs")]) == code
+        assert capsys.readouterr().err == message + "\n"
 
 
 class TestInterruptedRun:
@@ -633,6 +671,20 @@ class TestCli:
         argv = ["eval", "--config", str(config_path), "--checkpoint", str(tmp_path / "small.bin")]
         assert main([*argv, "--out", str(tmp_path / "ev")]) == EXIT_IO
         assert "maps 4 inputs to 3 outputs, the environment needs 25 to 5" in capsys.readouterr().err
+
+
+    def test_eval_of_a_non_finite_network_exit_code(self, tmp_path, capsys):
+        # Weights this large overflow the Q values to nan and +-inf.
+        config_path = tmp_path / "cfg.ini"
+        config_path.write_text(SMALL_DQN.replace("hidden_sizes = 16", "hidden_sizes = 8"))
+        learner = DqnLearner(OBS_DIM, N_ACTIONS, DqnConfig(hidden_sizes=(8,)), seed=0)
+        learner.params = ParameterSet(learner.params.values * 1e300)
+        learner.save(tmp_path / "huge.bin")
+        argv = ["eval", "--config", str(config_path), "--checkpoint", str(tmp_path / "huge.bin")]
+        assert main([*argv, "--out", str(tmp_path / "ev")]) == EXIT_DIVERGENCE
+        assert capsys.readouterr().err == (
+            "training diverged: non-finite Q values in action selection\n"
+        )
 
 
 class TestCorruptCheckpoint:
